@@ -177,16 +177,6 @@ let runtime_arg =
   in
   Arg.(value & opt runtime_conv `Sim & info [ "runtime" ] ~docv:"RT" ~doc)
 
-let compiled_arg =
-  let doc =
-    "Execute through the compiled plan engine: the optimized plan is specialized \
-     once (integer slots, pre-rendered cache keys, persistent columnar scans) and \
-     run as a fused closure chain. Answers and costs are identical to the \
-     interpreter; only per-step interpretation overhead disappears. Sequential \
-     simulator runs only."
-  in
-  Arg.(value & flag & info [ "compiled" ] ~doc)
-
 (* Least-squares fit of a wall-clock cost profile from the runtime's
    per-request observations: the measured seconds play the role of
    cost, so the fitted parameters are in seconds. *)
@@ -285,8 +275,8 @@ let run_cmd =
     in
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
   in
-  let action location sql algo sample hist concurrency runtime compiled plan_file trace
-      shards replicas routing hedge verbose =
+  let action location sql algo sample hist concurrency runtime plan_file trace shards
+      replicas routing hedge verbose =
     setup_logs verbose;
     if shards > 1 || replicas > 1 || hedge <> None then
       report_result
@@ -301,25 +291,16 @@ let run_cmd =
     report_result
       (let* location = location in
        let* () =
-         match runtime, concurrency, trace, plan_file with
-         | `Domains _, `Seq, _, _ ->
+         match runtime, concurrency, trace with
+         | `Domains _, `Seq, _ ->
            Error
              "the domains runtime executes concurrently: combine --runtime domains \
               with --concurrency par"
-         | `Domains _, _, Some _, _ ->
+         | `Domains _, _, Some _ ->
            Error
              "--trace spans a single simulated clock and is not available on the \
               domains runtime; drop --trace or use --runtime sim"
-         | `Domains _, _, _, Some _ ->
-           Error "--plan executes sequentially and is not available with --runtime domains"
          | _ -> Ok ()
-       in
-       let* () =
-         if compiled && concurrency = `Par then
-           Error "--compiled is a sequential engine; drop it or use --concurrency seq"
-         else if compiled && plan_file <> None then
-           Error "--plan pins an external plan text; --compiled compiles the optimizer's"
-         else Ok ()
        in
        with_mediator location (fun mediator ->
            with_tracing trace (fun () ->
@@ -332,7 +313,6 @@ let run_cmd =
                  stats = stats_of_sample sample hist;
                  concurrency;
                  runtime;
-                 exec = (if compiled then `Compiled else `Interp);
                  (* Under --concurrency par the report's queue-wait
                     breakdown needs span data; collect it privately
                     unless --trace already installs a collector. The
@@ -389,30 +369,30 @@ let run_cmd =
              let* query = Fusion_query.Sql.parse_fusion ~schema ~union:"U" sql in
              let text = In_channel.with_open_text path In_channel.input_all in
              let* plan = Fusion_plan.Plan_text.of_string text in
-             let sources = Mediator.sources mediator in
+             let config = { Mediator.Config.default with Mediator.Config.concurrency; runtime } in
              let conds = Fusion_query.Query.conditions query in
-             let* () =
-               Fusion_plan.Plan.validate ~m:(Array.length conds)
-                 ~n:(Array.length sources) plan
-             in
-             Array.iter Fusion_source.Source.reset_meter sources;
-             (match Fusion_plan.Exec.run ~sources ~conds plan with
-             | result ->
-               Format.printf "pinned plan executed: cost %.1f, answer (%d items): %a@."
-                 result.Fusion_plan.Exec.total_cost
-                 (Fusion_data.Item_set.cardinal result.Fusion_plan.Exec.answer)
-                 Fusion_data.Item_set.pp result.Fusion_plan.Exec.answer;
-               Ok ()
-             | exception Fusion_source.Source.Unsupported msg ->
-               Error ("execution failed: " ^ msg)))))
+             let* x = Mediator.execute ~config mediator ~conds plan in
+             Format.printf "pinned plan executed: cost %.1f, answer (%d items): %a@."
+               x.Mediator.x_cost
+               (Fusion_data.Item_set.cardinal x.Mediator.x_answer)
+               Fusion_data.Item_set.pp x.Mediator.x_answer;
+             Ok ())))
   in
   let doc = "run a fusion query over CSV sources" in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(const action $ location_term $ sql_arg $ algo_arg $ sample_arg $ hist_arg
-          $ concurrency_arg $ runtime_arg $ compiled_arg $ plan_arg $ trace_arg
+          $ concurrency_arg $ runtime_arg $ plan_arg $ trace_arg
           $ shards_arg $ replicas_arg $ routing_arg $ hedge_arg $ verbose_arg)
 
 (* --- explain ------------------------------------------------------------- *)
+
+(* Executes an optimizer-chosen plan the way the mediator does: through
+   its compiled form. *)
+let run_compiled ?cache ~sources ~conds plan =
+  match Fusion_plan.Plan_compile.compile ~sources ~conds plan with
+  | Ok cp -> Fusion_plan.Plan_compile.run ?cache cp
+  | Error msg -> invalid_arg ("the optimizer produced an invalid plan: " ^ msg)
+
 
 let explain_cmd =
   let analyze_arg =
@@ -482,9 +462,8 @@ let explain_cmd =
            else begin
              Array.iter Fusion_source.Source.reset_meter (Mediator.sources mediator);
              match
-               Fusion_plan.Exec.run
-                 ~sources:(Mediator.sources mediator)
-                 ~conds:env.Opt_env.conds optimized.Optimized.plan
+               run_compiled ~sources:(Mediator.sources mediator) ~conds:env.Opt_env.conds
+                 optimized.Optimized.plan
              with
              | result ->
                let explain =
@@ -863,8 +842,7 @@ let shell_cmd =
                else begin
                  Array.iter Fusion_source.Source.reset_meter (Mediator.sources mediator);
                  match
-                   Fusion_plan.Exec.run ~cache
-                     ~sources:(Mediator.sources mediator)
+                   run_compiled ~cache ~sources:(Mediator.sources mediator)
                      ~conds:env.Opt_env.conds optimized.Optimized.plan
                  with
                  | result ->

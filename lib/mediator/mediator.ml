@@ -53,7 +53,6 @@ module Config = struct
     trace : Trace.collector option;
     concurrency : concurrency;
     runtime : Runtime.spec;
-    exec : [ `Interp | `Compiled ];
   }
 
   let default =
@@ -66,7 +65,6 @@ module Config = struct
       trace = None;
       concurrency = `Seq;
       runtime = `Sim;
-      exec = `Interp;
     }
 
   let policy c = { Fusion_plan.Exec.retries = c.retries; on_exhausted = c.on_exhausted }
@@ -93,8 +91,6 @@ type report = {
          the root is the run's [Trace.Run] span. *)
 }
 
-(* The execution-shaped slice of a report, same whichever executor
-   produced it. *)
 type execution = {
   x_answer : Item_set.t;
   x_steps : Fusion_plan.Exec.step list;
@@ -145,6 +141,62 @@ let plan_for ?(algo = Config.default.Config.algo) ?(stats = Config.default.Confi
           (Optimizer.name algo) (Array.length t.sources));
     Ok { prep_query = query; prep_env = env; prep_optimized = Optimizer.optimize algo env }
 
+(* Executes a plan through its compiled form: [Plan_compile.run] for
+   sequential simulator runs, [Exec_async] (which compiles internally)
+   for concurrent ones. *)
+let execute ?(config = Config.default) t ~conds plan =
+  Array.iter Source.reset_meter t.sources;
+  let cache = config.Config.cache and policy = Config.policy config in
+  let sequential cp =
+    let r = Fusion_plan.Plan_compile.run ?cache ~policy cp in
+    {
+      x_answer = r.Fusion_plan.Exec.answer;
+      x_steps = r.Fusion_plan.Exec.steps;
+      x_cost = r.Fusion_plan.Exec.total_cost;
+      (* Sequential: the query takes as long as its total work. *)
+      x_response_time = r.Fusion_plan.Exec.total_cost;
+      x_failures = r.Fusion_plan.Exec.failures;
+      x_partial = r.Fusion_plan.Exec.partial;
+      x_critical_path = None;
+    }
+  in
+  let concurrent spec =
+    let rt = Runtime.of_spec spec ~servers:(Array.length t.sources) in
+    let r =
+      Fun.protect
+        ~finally:(fun () -> Runtime.shutdown rt)
+        (fun () ->
+          Fusion_plan.Exec_async.run_on ?cache ~policy ~rt ~sources:t.sources ~conds plan)
+    in
+    {
+      x_answer = r.Fusion_plan.Exec_async.answer;
+      x_steps = Fusion_plan.Exec_async.to_exec_steps r.Fusion_plan.Exec_async.steps;
+      x_cost = r.Fusion_plan.Exec_async.total_cost;
+      x_response_time = r.Fusion_plan.Exec_async.makespan;
+      x_failures = r.Fusion_plan.Exec_async.failures;
+      x_partial = r.Fusion_plan.Exec_async.partial;
+      x_critical_path = Some (schedule_analysis plan r);
+    }
+  in
+  let guarded f =
+    match f () with
+    | x -> Ok x
+    | exception Source.Unsupported msg -> Error ("execution failed: " ^ msg)
+    | exception Source.Timeout msg -> Error ("execution failed (source unreachable): " ^ msg)
+    | exception Fusion_plan.Exec.Runtime_error msg -> Error ("invalid plan: " ^ msg)
+    | exception Invalid_argument msg -> Error msg
+  in
+  match (config.Config.concurrency, config.Config.runtime) with
+  | `Seq, `Domains _ ->
+    Error
+      "the domains runtime executes concurrently; combine runtime=domains with \
+       concurrency `Par (--concurrency par)"
+  | `Seq, `Sim -> (
+    match Fusion_plan.Plan_compile.compile ~sources:t.sources ~conds plan with
+    | Error msg -> Error ("invalid plan: " ^ msg)
+    | Ok cp -> guarded (fun () -> sequential cp))
+  | `Par, spec -> guarded (fun () -> concurrent spec)
+
 let run_body ~(config : Config.t) ~ctx t query =
   match plan_for ~algo:config.Config.algo ~stats:config.Config.stats t query with
   | Error msg -> Error msg
@@ -154,60 +206,9 @@ let run_body ~(config : Config.t) ~ctx t query =
           (Optimizer.name config.Config.algo)
           (List.length (Fusion_plan.Plan.ops optimized.Optimized.plan))
           optimized.Optimized.est_cost);
-    Array.iter Source.reset_meter t.sources;
-    let cache = config.Config.cache and policy = Config.policy config in
-    let execute () =
-      match (config.Config.concurrency, config.Config.runtime) with
-      | `Seq, `Domains _ ->
-        raise
-          (Invalid_argument
-             "the domains runtime executes concurrently; combine runtime=domains \
-              with concurrency `Par (--concurrency par)")
-      | `Seq, `Sim ->
-        let r =
-          match config.Config.exec with
-          | `Interp ->
-            Fusion_plan.Exec.run ?cache ~policy ~sources:t.sources
-              ~conds:env.Opt_env.conds optimized.Optimized.plan
-          | `Compiled -> (
-            match
-              Fusion_plan.Plan_compile.compile ~sources:t.sources
-                ~conds:env.Opt_env.conds optimized.Optimized.plan
-            with
-            | Ok cp -> Fusion_plan.Plan_compile.run ?cache ~policy cp
-            | Error msg -> failwith ("plan compilation failed: " ^ msg))
-        in
-        {
-          x_answer = r.Fusion_plan.Exec.answer;
-          x_steps = r.Fusion_plan.Exec.steps;
-          x_cost = r.Fusion_plan.Exec.total_cost;
-          (* Sequential: the query takes as long as its total work. *)
-          x_response_time = r.Fusion_plan.Exec.total_cost;
-          x_failures = r.Fusion_plan.Exec.failures;
-          x_partial = r.Fusion_plan.Exec.partial;
-          x_critical_path = None;
-        }
-      | `Par, spec ->
-        let rt = Runtime.of_spec spec ~servers:(Array.length t.sources) in
-        let r =
-          Fun.protect
-            ~finally:(fun () -> Runtime.shutdown rt)
-            (fun () ->
-              Fusion_plan.Exec_async.run_on ?cache ~policy ~rt ~sources:t.sources
-                ~conds:env.Opt_env.conds optimized.Optimized.plan)
-        in
-        {
-          x_answer = r.Fusion_plan.Exec_async.answer;
-          x_steps = Fusion_plan.Exec_async.to_exec_steps r.Fusion_plan.Exec_async.steps;
-          x_cost = r.Fusion_plan.Exec_async.total_cost;
-          x_response_time = r.Fusion_plan.Exec_async.makespan;
-          x_failures = r.Fusion_plan.Exec_async.failures;
-          x_partial = r.Fusion_plan.Exec_async.partial;
-          x_critical_path = Some (schedule_analysis optimized.Optimized.plan r);
-        }
-    in
-    match execute () with
-    | x ->
+    match execute ~config t ~conds:env.Opt_env.conds optimized.Optimized.plan with
+    | Error msg -> Error msg
+    | Ok x ->
       Log.info (fun m ->
           m "executed: actual cost %.1f, response time %.1f, %d answers" x.x_cost
             x.x_response_time
@@ -244,11 +245,7 @@ let run_body ~(config : Config.t) ~ctx t query =
                x.x_cost /. optimized.Optimized.est_cost
              else Float.nan);
           trace = [];
-        }
-    | exception Source.Unsupported msg -> Error ("execution failed: " ^ msg)
-    | exception Source.Timeout msg ->
-      Error ("execution failed (source unreachable): " ^ msg)
-    | exception Invalid_argument msg -> Error msg)
+        })
 
 (* [config.trace] installs a collector for the duration of the run (on
    top of any process-wide one); either way, the spans the run produced

@@ -49,20 +49,14 @@ module Config : sig
             executes on a real domain pool with wall-clock latencies.
             [`Domains _] with [`Seq] is rejected: the sequential
             executor has nothing to run concurrently. *)
-    exec : [ `Interp | `Compiled ];
-        (** sequential execution engine: [`Interp] (default) is the
-            step-by-step {!Fusion_plan.Exec} interpreter, [`Compiled]
-            compiles the optimized plan once with
-            {!Fusion_plan.Plan_compile} and runs the fused closure
-            chain. Same answers, same costs, same fault draws — the
-            compiled form only removes per-step interpretation and
-            allocation. Ignored under [`Par] (the concurrent executor
-            schedules its own steps). *)
   }
 
   val default : t
   (** SJA+, exact statistics, no cache, no retries ([`Fail]), no
-      tracing, sequential execution on the simulator. *)
+      tracing, sequential execution on the simulator. Sequential runs
+      compile the plan with {!Fusion_plan.Plan_compile} and run the
+      compiled form; concurrent ones run it on
+      {!Fusion_plan.Exec_async}, which compiles it the same way. *)
 
   val policy : t -> Fusion_plan.Exec.policy
   (** The executor fault policy the config denotes. *)
@@ -111,6 +105,31 @@ val plan_for :
   (prepared, string) result
 (** Validate → normalize → build statistics → optimize, without
     executing anything. Defaults match {!Config.default}. *)
+
+(** The execution-shaped slice of a {!report}. *)
+type execution = {
+  x_answer : Item_set.t;
+  x_steps : Fusion_plan.Exec.step list;
+  x_cost : float;
+  x_response_time : float;
+  x_failures : int;
+  x_partial : bool;
+  x_critical_path : Fusion_obs.Analyze.path option;
+}
+
+val execute :
+  ?config:Config.t ->
+  t ->
+  conds:Fusion_cond.Cond.t array ->
+  Fusion_plan.Plan.t ->
+  (execution, string) result
+(** The execution half of {!run}, for an already chosen plan (the
+    optimizer's, or a pinned plan text): resets the source meters and
+    runs the plan under [config]'s concurrency, runtime, cache and
+    retry policy. A plan that fails {!Fusion_plan.Plan_compile.compile}
+    (out-of-range index, undefined or mistyped variable) is an
+    [Error], as are unsupported source operations and, under [`Fail],
+    unreachable sources. *)
 
 val run : ?config:Config.t -> t -> Fusion_query.Query.t -> (report, string) result
 (** Optimize and execute under [config] ({!Config.default} if omitted).

@@ -38,7 +38,7 @@ module Json = Fusion_obs.Json
 type report = {
   connections : int;  (** connections accepted *)
   received : int;  (** SQL lines taken for processing *)
-  rejected : int;  (** lines that failed to parse or optimize *)
+  rejected : int;  (** lines that failed to parse or optimize, or ran over 64 KiB *)
   stats : S.stats;  (** serving-layer conservation stats *)
   observations : (int * Meter.totals * float) list;
       (** per-request wall-clock observations, for calibration *)
@@ -88,29 +88,42 @@ let write_all fd s =
   in
   go 0
 
-(* Reads [fd] to EOF, invoking [handle] on each newline-terminated
-   line (CR trimmed). A trailing unterminated line is delivered too. *)
+(* The longest statement line accepted, in bytes. *)
+let max_line = 65536
+
+(* Reads [fd] to EOF, invoking [handle] with [Ok line] on each
+   newline-terminated line (CR trimmed). A trailing unterminated line
+   is delivered too. A line growing past [max_line] bytes is delivered
+   as [Error _] and ends the read, leaving the rest of the stream
+   unread. *)
 let read_lines fd handle =
   let buf = Buffer.create 256 in
   let chunk = Bytes.create 4096 in
   let flush () =
     let line = String.trim (Buffer.contents buf) in
     Buffer.clear buf;
-    if line <> "" then handle line
+    if line <> "" then handle (Ok line)
   in
   let rec go () =
     match Unix.read fd chunk 0 (Bytes.length chunk) with
     | 0 -> flush ()
-    | n ->
-      for i = 0 to n - 1 do
-        let ch = Bytes.get chunk i in
-        if ch = '\n' then flush () else Buffer.add_char buf ch
-      done;
-      go ()
+    | n -> scan 0 n
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
       Fiber.await_readable fd;
       go ()
     | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> flush ()
+  and scan i n =
+    if i = n then go ()
+    else
+      match Bytes.get chunk i with
+      | '\n' ->
+        flush ();
+        scan (i + 1) n
+      | _ when Buffer.length buf >= max_line ->
+        handle (Error (Printf.sprintf "line longer than %d bytes" max_line))
+      | ch ->
+        Buffer.add_char buf ch;
+        scan (i + 1) n
   in
   go ()
 
@@ -355,7 +368,7 @@ let serve ?(config = Mediator.Config.default) ?(policy = S.Fifo) ?max_inflight
           if not c.dropped then
             if not (Fiber.Stream.try_add c.outbox (Some (push_line p))) then
               drop c);
-    let handle_line c line =
+    let handle_line c input =
       if !received < target then begin
         incr received;
         (* A synchronous response: [sub]/[unsub]/[mut] are answered from
@@ -371,50 +384,53 @@ let serve ?(config = Mediator.Config.default) ?(policy = S.Fifo) ?max_inflight
           incr rejected;
           reply ("error " ^ msg)
         in
-        let word, rest = split_command line in
-        match String.lowercase_ascii word with
-        | "sub" -> (
-          match Mediator.Server.subscribe_sql srv rest with
-          | Ok id ->
-            c.subs <- id :: c.subs;
-            Hashtbl.replace sub_owner id c;
-            let answer =
-              Option.value ~default:Item_set.empty
-                (S.subscription_answer server id)
-            in
-            reply
-              (Printf.sprintf "sub id=%d rows=%d items=%s" id
-                 (Item_set.cardinal answer) (items_text answer))
-          | Error msg -> fail msg)
-        | "unsub" -> (
-          match int_of_string_opt rest with
-          | None -> fail (Printf.sprintf "bad subscription id %S" rest)
-          | Some id ->
-            if Mediator.Server.unsubscribe srv id then begin
-              Hashtbl.remove sub_owner id;
-              c.subs <- List.filter (fun i -> i <> id) c.subs;
-              reply (Printf.sprintf "unsub id=%d" id)
-            end
-            else fail (Printf.sprintf "unknown subscription %d" id))
-        | "mut" -> (
-          let source, payload = split_command rest in
-          if source = "" || payload = "" then
-            fail "usage: mut SOURCE +row;-row;..."
-          else
-            match Mediator.Server.mutate_line srv ~source payload with
-            | Ok a ->
+        match input with
+        | Error msg -> fail msg
+        | Ok line -> (
+          let word, rest = split_command line in
+          match String.lowercase_ascii word with
+          | "sub" -> (
+            match Mediator.Server.subscribe_sql srv rest with
+            | Ok id ->
+              c.subs <- id :: c.subs;
+              Hashtbl.replace sub_owner id c;
+              let answer =
+                Option.value ~default:Item_set.empty
+                  (S.subscription_answer server id)
+              in
               reply
-                (Printf.sprintf
-                   "mut source=%s inserted=%d deleted=%d missed=%d version=%d"
-                   source a.Delta.inserted a.Delta.deleted a.Delta.missed
-                   a.Delta.version)
+                (Printf.sprintf "sub id=%d rows=%d items=%s" id
+                   (Item_set.cardinal answer) (items_text answer))
             | Error msg -> fail msg)
-        | _ -> (
-          match Mediator.Server.submit_sql srv ~at:(Runtime.now rt) line with
-          | Ok id ->
-            c.pending <- c.pending + 1;
-            Hashtbl.replace conns id c
-          | Error msg -> fail msg)
+          | "unsub" -> (
+            match int_of_string_opt rest with
+            | None -> fail (Printf.sprintf "bad subscription id %S" rest)
+            | Some id ->
+              if Mediator.Server.unsubscribe srv id then begin
+                Hashtbl.remove sub_owner id;
+                c.subs <- List.filter (fun i -> i <> id) c.subs;
+                reply (Printf.sprintf "unsub id=%d" id)
+              end
+              else fail (Printf.sprintf "unknown subscription %d" id))
+          | "mut" -> (
+            let source, payload = split_command rest in
+            if source = "" || payload = "" then
+              fail "usage: mut SOURCE +row;-row;..."
+            else
+              match Mediator.Server.mutate_line srv ~source payload with
+              | Ok a ->
+                reply
+                  (Printf.sprintf
+                     "mut source=%s inserted=%d deleted=%d missed=%d version=%d"
+                     source a.Delta.inserted a.Delta.deleted a.Delta.missed
+                     a.Delta.version)
+              | Error msg -> fail msg)
+          | _ -> (
+            match Mediator.Server.submit_sql srv ~at:(Runtime.now rt) line with
+            | Ok id ->
+              c.pending <- c.pending + 1;
+              Hashtbl.replace conns id c
+            | Error msg -> fail msg))
       end
     in
     let handle_conn sw fd =

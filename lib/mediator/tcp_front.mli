@@ -11,7 +11,8 @@ error [id=<n>] <message> v}
     serving layer's admission control, scheduling policy and shared
     answer cache ({!Fusion_serve.Server}); execution runs on the
     runtime's worker domains and all reported times are wall-clock
-    seconds.
+    seconds. A line longer than 64 KiB is answered with an [error] and
+    its connection is closed once earlier statements are answered.
 
     {b Continuous queries.} Three non-SQL statements drive the standing
     query machinery (each still answered with exactly one response
@@ -39,7 +40,7 @@ mut <source> <+row;-row;...>
 type report = {
   connections : int;  (** connections accepted *)
   received : int;  (** SQL lines taken for processing *)
-  rejected : int;  (** lines that failed to parse or optimize *)
+  rejected : int;  (** lines that failed to parse or optimize, or ran over 64 KiB *)
   stats : Fusion_serve.Server.stats;  (** serving-layer conservation stats *)
   observations : (int * Fusion_net.Meter.totals * float) list;
       (** per-request [(server, meter delta, wall seconds)], the raw

@@ -49,78 +49,79 @@ module Query_cache = struct
   let stats t = { hits = t.hits; misses = t.misses; saved_cost = t.saved_cost }
 
   (* Cache keys are interned: repeated lookups for the same (source,
-     cond) hash two short strings once and small ints afterwards. The
-     [_keyed] variants take the rendered condition text so compiled
-     plans ({!Plan_compile}) can precompute it instead of re-rendering
-     per lookup. *)
-  let key_of t ~sname ~ctext =
-    ( Intern.intern t.keys (Value.String sname),
-      Intern.intern t.keys (Value.String ctext) )
+     cond) hash two short strings once and small ints afterwards.
+     Callers pass the source name and rendered condition text, which
+     compiled plans ({!Plan_compile}) render once per plan. *)
+  let key t ~sname ~ctext =
+    (Intern.intern t.keys (Value.String sname), Intern.intern t.keys (Value.String ctext))
 
-  let key t source cond =
-    key_of t ~sname:(Source.name source) ~ctext:(Cond.to_string cond)
+  let find t ~sname ~ctext = Hashtbl.find_opt t.answers (key t ~sname ~ctext)
 
-  let find_keyed t ~sname ~ctext = Hashtbl.find_opt t.answers (key_of t ~sname ~ctext)
-
-  let store_keyed t ~sname ~ctext answer =
+  let store t ~sname ~ctext answer =
     t.misses <- t.misses + 1;
-    Hashtbl.replace t.answers (key_of t ~sname ~ctext) answer
-
-  let find t source cond = Hashtbl.find_opt t.answers (key t source cond)
-
-  let store t source cond answer =
-    t.misses <- t.misses + 1;
-    Hashtbl.replace t.answers (key t source cond) answer
+    Hashtbl.replace t.answers (key t ~sname ~ctext) answer
 
   (* Order-independent digest of a probe set over its interned ids;
      equality is confirmed on the stored probe, so collisions only cost
      a comparison. *)
-  let digest probe = Item_set.hash probe
+  let sjq_key t ~sname ~ctext probe =
+    let sid, cid = key t ~sname ~ctext in
+    (sid, cid, Item_set.hash probe)
 
-  let sjq_key_of t ~sname ~ctext probe =
-    let sid, cid = key_of t ~sname ~ctext in
-    (sid, cid, digest probe)
-
-  let find_sjq_keyed t ~sname ~ctext probe =
-    match Hashtbl.find_opt t.semijoins (sjq_key_of t ~sname ~ctext probe) with
+  let find_sjq t ~sname ~ctext probe =
+    match Hashtbl.find_opt t.semijoins (sjq_key t ~sname ~ctext probe) with
     | None -> None
     | Some entries ->
       List.find_map
         (fun (p, answer) -> if Item_set.equal p probe then Some answer else None)
         entries
 
-  let store_sjq_keyed t ~sname ~ctext probe answer =
+  let store_sjq t ~sname ~ctext probe answer =
     t.misses <- t.misses + 1;
-    let key = sjq_key_of t ~sname ~ctext probe in
+    let key = sjq_key t ~sname ~ctext probe in
     let existing = Option.value ~default:[] (Hashtbl.find_opt t.semijoins key) in
     Hashtbl.replace t.semijoins key ((probe, answer) :: existing)
 
-  let find_sjq t source cond probe =
-    find_sjq_keyed t ~sname:(Source.name source) ~ctext:(Cond.to_string cond) probe
-
-  let store_sjq t source cond probe answer =
-    store_sjq_keyed t ~sname:(Source.name source) ~ctext:(Cond.to_string cond) probe
-      answer
-
   (* What the operation would have cost at the source, from its profile
-     and the actual sizes involved. Mirrors the wrapper's charging. *)
-  let record_hit t source ~items_sent ~items_received =
+     and the actual sizes involved. Mirrors the wrapper's charging: a
+     semijoin ships its [probe] natively, or costs one selection per
+     binding where the source only emulates semijoins. *)
+  let record_hit t source ?probe answer =
     let p = Source.profile source in
+    let sent = match probe with Some x -> Item_set.cardinal x | None -> 0 in
+    let emulated =
+      match probe with
+      | Some _ -> not (Source.capability source).Capability.native_semijoin
+      | None -> false
+    in
+    let requests =
+      if emulated then
+        t.saved_cost
+        +. (float_of_int sent
+            *. (p.Fusion_net.Profile.request_overhead +. p.Fusion_net.Profile.send_per_item))
+      else
+        t.saved_cost +. p.Fusion_net.Profile.request_overhead
+        +. (p.Fusion_net.Profile.send_per_item *. float_of_int sent)
+    in
     t.hits <- t.hits + 1;
     t.saved_cost <-
-      t.saved_cost
-      +. p.Fusion_net.Profile.request_overhead
-      +. (p.Fusion_net.Profile.send_per_item *. float_of_int items_sent)
-      +. (p.Fusion_net.Profile.recv_per_item *. float_of_int items_received)
+      requests
+      +. (p.Fusion_net.Profile.recv_per_item *. float_of_int (Item_set.cardinal answer))
 
-  let record_hit_emulated t source ~bindings ~items_received =
-    let p = Fusion_source.Source.profile source in
-    t.hits <- t.hits + 1;
-    t.saved_cost <-
-      t.saved_cost
-      +. (float_of_int bindings
-          *. (p.Fusion_net.Profile.request_overhead +. p.Fusion_net.Profile.send_per_item))
-      +. (p.Fusion_net.Profile.recv_per_item *. float_of_int items_received)
+  (* Marks a cacheable step's outcome on its span and in the metrics. *)
+  let outcome cache ctx hit =
+    if cache <> None then begin
+      Trace.attr ctx "cache" (Trace.Str (if hit then "hit" else "miss"));
+      Metrics.record (fun r ->
+          Metrics.incr r
+            (if hit then "fusion_cache_hits_total" else "fusion_cache_misses_total"))
+    end
+
+  let hit cache ctx source ?probe answer =
+    Option.iter (fun t -> record_hit t source ?probe answer) cache;
+    outcome cache ctx true
+
+  let miss cache ctx = outcome cache ctx false
 end
 
 type binding = Items of Item_set.t | Loaded of Relation.t
@@ -161,65 +162,42 @@ let run ?cache ?(policy = default_policy) ~sources ~conds plan =
       raise (Runtime_error (Printf.sprintf "condition index %d out of range" i));
     conds.(i)
   in
-  (* Mark a cacheable step's outcome on its span and in the metrics. *)
-  let cache_outcome ctx hit =
-    if cache <> None then begin
-      Trace.attr ctx "cache" (Trace.Str (if hit then "hit" else "miss"));
-      Metrics.record (fun r ->
-          Metrics.incr r
-            (if hit then "fusion_cache_hits_total" else "fusion_cache_misses_total"))
-    end
-  in
   let exec_op ctx (op : Op.t) =
     match op with
     | Select { dst; cond = c; source = j } -> (
       let s = source j and condition = cond c in
-      let cached = Option.bind cache (fun t -> Query_cache.find t s condition) in
-      match cached with
+      let sname = Source.name s and ctext = Cond.to_string condition in
+      match Option.bind cache (fun t -> Query_cache.find t ~sname ~ctext) with
       | Some answer ->
-        Option.iter
-          (fun t ->
-            Query_cache.record_hit t s ~items_sent:0
-              ~items_received:(Item_set.cardinal answer))
-          cache;
-        cache_outcome ctx true;
+        Query_cache.hit cache ctx s answer;
         Hashtbl.replace env dst (Items answer);
         (0.0, Item_set.cardinal answer)
       | None ->
         let answer, cost = Source.select_query s condition in
-        Option.iter (fun t -> Query_cache.store t s condition answer) cache;
-        cache_outcome ctx false;
+        Option.iter (fun t -> Query_cache.store t ~sname ~ctext answer) cache;
+        Query_cache.miss cache ctx;
         Hashtbl.replace env dst (Items answer);
         (cost, Item_set.cardinal answer))
     | Semijoin { dst; cond = c; source = j; input } -> (
       let s = source j and condition = cond c in
+      let sname = Source.name s and ctext = Cond.to_string condition in
       let probe = items input in
       let cached =
-        match Option.bind cache (fun t -> Query_cache.find t s condition) with
+        match Option.bind cache (fun t -> Query_cache.find t ~sname ~ctext) with
         | Some full -> Some (Item_set.inter full probe)
-        | None -> Option.bind cache (fun t -> Query_cache.find_sjq t s condition probe)
+        | None -> Option.bind cache (fun t -> Query_cache.find_sjq t ~sname ~ctext probe)
       in
       match cached with
       | Some answer ->
         (* Either derived from a cached selection (sjq = sq ∩ X) or an
            exact replay of a previous semijoin. *)
-        Option.iter
-          (fun t ->
-            let received = Item_set.cardinal answer in
-            if (Source.capability s).Capability.native_semijoin then
-              Query_cache.record_hit t s ~items_sent:(Item_set.cardinal probe)
-                ~items_received:received
-            else
-              Query_cache.record_hit_emulated t s ~bindings:(Item_set.cardinal probe)
-                ~items_received:received)
-          cache;
-        cache_outcome ctx true;
+        Query_cache.hit cache ctx s ~probe answer;
         Hashtbl.replace env dst (Items answer);
         (0.0, Item_set.cardinal answer)
       | None ->
         let answer, cost = Source.semijoin_query s condition probe in
-        Option.iter (fun t -> Query_cache.store_sjq t s condition probe answer) cache;
-        cache_outcome ctx false;
+        Option.iter (fun t -> Query_cache.store_sjq t ~sname ~ctext probe answer) cache;
+        Query_cache.miss cache ctx;
         Hashtbl.replace env dst (Items answer);
         (cost, Item_set.cardinal answer))
     | Load { dst; source = j } ->

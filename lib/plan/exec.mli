@@ -58,29 +58,26 @@ module Query_cache : sig
 
   (** {2 Executor-internal operations}
 
-      The lookup/fill protocol shared by the sequential {!run} and the
-      concurrent {!Exec_async.run}. Not meant for application code —
-      going through these by hand desynchronizes the hit/miss
-      statistics from any executor's accounting. *)
+      The lookup/fill protocol shared by the sequential {!run},
+      {!Plan_compile} and the concurrent {!Exec_async}. Not meant for
+      application code — going through these by hand desynchronizes
+      the hit/miss statistics from any executor's accounting. Keys are
+      the source name and the rendered condition text. *)
 
-  val find : t -> Source.t -> Cond.t -> Item_set.t option
-  val store : t -> Source.t -> Cond.t -> Item_set.t -> unit
-  val find_sjq : t -> Source.t -> Cond.t -> Item_set.t -> Item_set.t option
-  val store_sjq : t -> Source.t -> Cond.t -> Item_set.t -> Item_set.t -> unit
+  val find : t -> sname:string -> ctext:string -> Item_set.t option
+  val store : t -> sname:string -> ctext:string -> Item_set.t -> unit
+  val find_sjq : t -> sname:string -> ctext:string -> Item_set.t -> Item_set.t option
+  val store_sjq : t -> sname:string -> ctext:string -> Item_set.t -> Item_set.t -> unit
 
-  (** Keyed variants for compiled plans ([Plan_compile]): same protocol,
-      but the caller supplies the source name and rendered condition
-      text, precomputed at plan-compile time instead of re-rendered per
-      lookup. *)
+  val hit :
+    t option -> Fusion_obs.Trace.ctx -> Source.t -> ?probe:Item_set.t -> Item_set.t -> unit
+  (** Books a step answered without contacting the source: the cost it
+      saved (a semijoin, given its [probe], as the source would have
+      charged it — natively or one selection per binding), then the hit
+      on the step's span and in the metrics. No-op without a cache. *)
 
-  val find_keyed : t -> sname:string -> ctext:string -> Item_set.t option
-  val store_keyed : t -> sname:string -> ctext:string -> Item_set.t -> unit
-  val find_sjq_keyed : t -> sname:string -> ctext:string -> Item_set.t -> Item_set.t option
-
-  val store_sjq_keyed :
-    t -> sname:string -> ctext:string -> Item_set.t -> Item_set.t -> unit
-  val record_hit : t -> Source.t -> items_sent:int -> items_received:int -> unit
-  val record_hit_emulated : t -> Source.t -> bindings:int -> items_received:int -> unit
+  val miss : t option -> Fusion_obs.Trace.ctx -> unit
+  (** Marks a step that had to query its source. *)
 end
 
 type policy = {

@@ -17,7 +17,9 @@
    property tests pin down.
 
    The execution itself lives in [Engine]: an incremental cursor over
-   the plan that evaluates local operations for free and surfaces one
+   the compiled plan ([Plan_compile]: integer slots, pre-rendered cache
+   keys, columnar local scans, the dataflow node table) that evaluates
+   local operations for free and surfaces one
    source query at a time for an external scheduler to dispatch onto a
    (possibly shared) runtime. [run] is the trivial driver — one private
    simulated network, dispatch every request the moment it surfaces —
@@ -27,10 +29,8 @@
    arbitrating between them. *)
 
 open Fusion_data
-open Fusion_cond
 open Fusion_source
 module Trace = Fusion_obs.Trace
-module Metrics = Fusion_obs.Metrics
 module Sim = Fusion_net.Sim
 module Meter = Fusion_net.Meter
 module Runtime = Fusion_rt.Runtime
@@ -68,14 +68,14 @@ type result = {
 let to_exec_steps steps =
   List.map (fun s -> { Exec.op = s.op; cost = s.cost; result_size = s.result_size }) steps
 
-type binding = Items of Item_set.t | Loaded of Relation.t
-
 module Engine = struct
   type request = { rq_op : Op.t; rq_server : int; rq_ready : float; rq_task : int }
 
   type t = {
-    sources : Source.t array;
-    conds : Cond.t array;
+    ops : Op.t array;
+    cops : Plan_compile.cop array;
+    nodes : (Op.t * int * int list) array;
+    out : int;
     cache : Query_cache.t option;
     policy : Exec.policy;
     deadline : float;
@@ -83,25 +83,26 @@ module Engine = struct
     rt : Runtime.t;
     offset : int;
     base : float;
-    nodes : (Op.t * int * int list) array;
-    env : (string, binding) Hashtbl.t;
-    (* Instant at which each variable's value is available (simulated
-       or wall clock, whichever the runtime keeps). *)
-    avail : (string, float) Hashtbl.t;
-    mutable ops : Op.t list; (* the plan suffix still to execute *)
+    (* The engine's own slot frame — the compiled plan's frame is
+       scratch for sequential runs — and the instant at which each
+       slot's value is available (simulated or wall clock, whichever
+       the runtime keeps). *)
+    binding : Plan_compile.slot array;
+    ready : float array;
+    mutable pc : int; (* the next operation to execute *)
     mutable sq_index : int; (* plan-order position of the next source query *)
     mutable steps : step list; (* newest first *)
     mutable failures : int;
     mutable partial : bool;
-    output : string;
-    compiled : Plan_compile.t option;
   }
 
   let create ?cache ?(policy = Exec.default_policy) ?(deadline = infinity) ?answers
-      ?(offset = 0) ?(base = 0.0) ?compiled ~rt ~sources ~conds plan =
+      ?(offset = 0) ?(base = 0.0) ~rt cp =
     {
-      sources;
-      conds;
+      ops = Plan_compile.ops cp;
+      cops = Plan_compile.cops cp;
+      nodes = Plan_compile.nodes cp;
+      out = Plan_compile.output cp;
       cache;
       policy;
       deadline;
@@ -109,73 +110,40 @@ module Engine = struct
       rt;
       offset;
       base;
-      nodes = Array.of_list (Parallel_exec.dataflow plan);
-      env = Hashtbl.create 16;
-      avail = Hashtbl.create 16;
-      ops = Plan.ops plan;
+      binding = Array.make (Plan_compile.nslots cp) Plan_compile.Unset;
+      ready = Array.make (Plan_compile.nslots cp) base;
+      pc = 0;
       sq_index = 0;
       steps = [];
       failures = 0;
       partial = false;
-      output = Plan.output plan;
-      compiled;
     }
 
-  let items t var =
-    match Hashtbl.find_opt t.env var with
-    | Some (Items s) -> s
-    | Some (Loaded _) ->
-      raise (Exec.Runtime_error (var ^ " is a loaded relation, not an item set"))
-    | None -> raise (Exec.Runtime_error ("undefined variable " ^ var))
+  let uses : Plan_compile.cop -> int array = function
+    | CSelect _ | CLoad _ -> [||]
+    | CSemijoin { input; _ } | CLocal { input; _ } -> [| input |]
+    | CUnion { args; _ } | CInter { args; _ } -> args
+    | CDiff { left; right; _ } -> [| left; right |]
 
-  let loaded t var =
-    match Hashtbl.find_opt t.env var with
-    | Some (Loaded r) -> r
-    | Some (Items _) ->
-      raise (Exec.Runtime_error (var ^ " is an item set, not a loaded relation"))
-    | None -> raise (Exec.Runtime_error ("undefined variable " ^ var))
-
-  let source t j =
-    if j < 0 || j >= Array.length t.sources then
-      raise (Exec.Runtime_error (Printf.sprintf "source index %d out of range" j));
-    t.sources.(j)
-
-  let cond t i =
-    if i < 0 || i >= Array.length t.conds then
-      raise (Exec.Runtime_error (Printf.sprintf "condition index %d out of range" i));
-    t.conds.(i)
-
-  let ready_of t op =
-    List.fold_left
-      (fun acc v ->
-        Float.max acc (Option.value ~default:t.base (Hashtbl.find_opt t.avail v)))
-      t.base (Op.uses op)
+  let ready_of t k =
+    Array.fold_left (fun acc i -> Float.max acc t.ready.(i)) t.base (uses t.cops.(k))
 
   let bind t dst value at =
-    Hashtbl.replace t.env dst value;
-    Hashtbl.replace t.avail dst at
+    t.binding.(dst) <- value;
+    t.ready.(dst) <- at
 
-  let cache_outcome t ctx hit =
-    if t.cache <> None then begin
-      Trace.attr ctx "cache" (Trace.Str (if hit then "hit" else "miss"));
-      Metrics.record (fun r ->
-          Metrics.incr r
-            (if hit then "fusion_cache_hits_total" else "fusion_cache_misses_total"))
-    end
+  let items t i = Plan_compile.items t.binding i
 
-  (* The plan-order position of the next source query, aligned with the
-     [dataflow] nodes; ids (and the deps they reference) are shifted by
-     [offset] so timelines of many engines sharing one network never
-     collide. *)
+  (* The schedule slot of the next source query, aligned with the
+     compiled dataflow nodes; ids (and the deps they reference) are
+     shifted by [offset] so timelines of many engines sharing one
+     network never collide. *)
   let next_node t =
     let id = t.sq_index in
     t.sq_index <- t.sq_index + 1;
-    let _, _, deps = t.nodes.(id) in
-    (t.offset + id, List.map (fun d -> t.offset + d) deps)
-
-  let slot = function
-    | Some node -> node
-    | None -> invalid_arg "Exec_async: source query without a schedule slot"
+    let _, server, deps = t.nodes.(id) in
+    { task = t.offset + id; server; deps = List.map (fun d -> t.offset + d) deps;
+      dispatched = false }
 
   (* One logical source query issued through the runtime. The thunk —
      running on a pool worker under a real-clock backend — touches only
@@ -185,9 +153,7 @@ module Engine = struct
      serialize) for wall-clock calibration. Engine state — the failure
      counter, caches, bindings — is applied on the driving fibre after
      the call returns, so the thunk is safe to run on another domain. *)
-  let source_call t ~node ~server:j ~ready f =
-    let id, deps = slot node in
-    let s = t.sources.(j) in
+  let source_call t sc s ~ready f =
     let retries = t.policy.Exec.retries and deadline = t.deadline in
     let fail_fast = t.policy.Exec.on_exhausted = `Fail in
     let thunk () =
@@ -217,105 +183,80 @@ module Engine = struct
       ((outcome, fails, delta), delta.Meter.cost, book)
     in
     let (outcome, fails, delta), ev =
-      Runtime.call t.rt ~id ~server:j ~ready ~deps thunk
+      Runtime.call t.rt ~id:sc.task ~server:sc.server ~ready ~deps:sc.deps thunk
     in
     t.failures <- t.failures + fails;
-    Runtime.observe t.rt ~server:j ~totals:delta ~wall:(ev.Sim.finish -. ev.Sim.start);
+    Runtime.observe t.rt ~server:sc.server ~totals:delta
+      ~wall:(ev.Sim.finish -. ev.Sim.start);
     (outcome, delta.Meter.cost, ev)
 
-  let give_up t op =
-    if t.policy.Exec.on_exhausted = `Fail then raise (Source.Timeout (Op.dst op));
-    t.partial <- true
-
-  let exec_op t ctx ~node (op : Op.t) =
-    match op with
-    | Select { dst; cond = c; source = j } -> (
-      let s = source t j and condition = cond t c in
-      let ready = ready_of t op in
-      let sname = Source.name s and ctext = Cond.to_string condition in
-      let id, deps = slot node in
-      match
-        Answer_cache.find t.answers ~source:sname ~cond:ctext
-          ~version:(Relation.version (Source.relation s))
-          ~ready ()
-      with
-      | Answer_cache.Inflight (finish, answer) ->
-        (* The same selection is in flight: share its request. *)
-        Option.iter
-          (fun c ->
-            Query_cache.record_hit c s ~items_sent:0
-              ~items_received:(Item_set.cardinal answer))
-          t.cache;
-        cache_outcome t ctx true;
-        bind t dst (Items answer) finish;
-        { op; cost = 0.0; result_size = Item_set.cardinal answer; start = ready; finish;
-          coalesced = true; sched = Some { task = id; server = j; deps; dispatched = false } }
-      | Answer_cache.Cached (_staleness, answer) ->
-        (* A recent enough answer from another query: reuse it. *)
-        Option.iter
-          (fun c ->
-            Query_cache.record_hit c s ~items_sent:0
-              ~items_received:(Item_set.cardinal answer))
-          t.cache;
-        cache_outcome t ctx true;
-        bind t dst (Items answer) ready;
-        { op; cost = 0.0; result_size = Item_set.cardinal answer; start = ready;
-          finish = ready; coalesced = false;
-          sched = Some { task = id; server = j; deps; dispatched = false } }
-      | Answer_cache.Miss -> (
-        match Option.bind t.cache (fun c -> Query_cache.find c s condition) with
-        | Some answer ->
-          Option.iter
-            (fun c ->
-              Query_cache.record_hit c s ~items_sent:0
-                ~items_received:(Item_set.cardinal answer))
-            t.cache;
-          cache_outcome t ctx true;
-          bind t dst (Items answer) ready;
-          { op; cost = 0.0; result_size = Item_set.cardinal answer; start = ready;
-            finish = ready; coalesced = false;
-            sched = Some { task = id; server = j; deps; dispatched = false } }
-        | None -> (
-          let outcome, duration, ev =
-            source_call t ~node ~server:j ~ready (fun () ->
-                fst (Source.select_query s condition))
-          in
-          match outcome with
-          | Some answer ->
-            Option.iter (fun c -> Query_cache.store c s condition answer) t.cache;
-            cache_outcome t ctx false;
-            Answer_cache.note t.answers ~source:sname ~cond:ctext
-              ~finish:ev.Sim.finish
-              ~version:(Relation.version (Source.relation s))
-              answer;
-            bind t dst (Items answer) ev.Sim.finish;
-            { op; cost = duration; result_size = Item_set.cardinal answer;
-              start = ev.Sim.start; finish = ev.Sim.finish; coalesced = false;
-              sched = Some { task = id; server = j; deps; dispatched = true } }
-          | None ->
-            give_up t op;
-            bind t dst (Items Item_set.empty) ev.Sim.finish;
-            { op; cost = duration; result_size = 0; start = ev.Sim.start;
-              finish = ev.Sim.finish; coalesced = false;
-              sched = Some { task = id; server = j; deps; dispatched = true } })))
-    | Semijoin { dst; cond = c; source = j; input } -> (
-      let s = source t j and condition = cond t c in
-      let probe = items t input in
-      let ready = ready_of t op in
-      let sname = Source.name s and ctext = Cond.to_string condition in
-      let id, deps = slot node in
-      let record_derived_hit answer =
-        Option.iter
-          (fun c ->
-            let received = Item_set.cardinal answer in
-            if (Source.capability s).Capability.native_semijoin then
-              Query_cache.record_hit c s ~items_sent:(Item_set.cardinal probe)
-                ~items_received:received
-            else
-              Query_cache.record_hit_emulated c s ~bindings:(Item_set.cardinal probe)
-                ~items_received:received)
-          t.cache
+  (* Executes operation [k]; [sched] is the schedule slot of a source
+     query, [None] for a local operation. *)
+  let exec_op t ctx k sched =
+    let op = t.ops.(k) and ready = ready_of t k in
+    let local dst answer =
+      bind t dst (Plan_compile.Items answer) ready;
+      { op; cost = 0.0; result_size = Item_set.cardinal answer; start = ready;
+        finish = ready; coalesced = false; sched = None }
+    in
+    (* A source query answered without occupying its source: a cached
+       answer, or one joined in flight ([coalesced]). *)
+    let reused s ?probe dst (finish, answer, coalesced) =
+      Query_cache.hit t.cache ctx s ?probe answer;
+      bind t dst (Plan_compile.Items answer) finish;
+      { op; cost = 0.0; result_size = Item_set.cardinal answer; start = ready; finish;
+        coalesced; sched }
+    in
+    (* Dispatches the source query. [on_answer] files a successful
+       answer and returns its binding and size; once retries run out
+       under [`Partial] the step binds [empty ()] and marks the answer
+       partial. *)
+    let fetch s dst ~empty call on_answer =
+      let sc = Option.get sched in
+      let outcome, cost, ev = source_call t sc s ~ready call in
+      let value, result_size =
+        match outcome with
+        | Some v -> on_answer v ev
+        | None ->
+          if t.policy.Exec.on_exhausted = `Fail then raise (Source.Timeout (Op.dst op));
+          t.partial <- true;
+          (empty (), 0)
       in
+      bind t dst value ev.Sim.finish;
+      { op; cost; result_size; start = ev.Sim.start; finish = ev.Sim.finish;
+        coalesced = false; sched = Some { sc with dispatched = true } }
+    in
+    let no_items () = Plan_compile.Items Item_set.empty in
+    match t.cops.(k) with
+    | CSelect { dst; s; cond; sname; ctext } -> (
+      let version () = Relation.version (Source.relation s) in
+      let copy =
+        match
+          Answer_cache.find t.answers ~source:sname ~cond:ctext ~version:(version ()) ~ready ()
+        with
+        | Answer_cache.Inflight (finish, answer) ->
+          (* The same selection is in flight: share its request. *)
+          Some (finish, answer, true)
+        | Answer_cache.Cached (_staleness, answer) ->
+          (* A recent enough answer from another query: reuse it. *)
+          Some (ready, answer, false)
+        | Answer_cache.Miss ->
+          Option.bind t.cache (fun c -> Query_cache.find c ~sname ~ctext)
+          |> Option.map (fun answer -> (ready, answer, false))
+      in
+      match copy with
+      | Some copy -> reused s dst copy
+      | None ->
+        fetch s dst ~empty:no_items
+          (fun () -> fst (Source.select_query s cond))
+          (fun answer ev ->
+            Option.iter (fun c -> Query_cache.store c ~sname ~ctext answer) t.cache;
+            Query_cache.miss t.cache ctx;
+            Answer_cache.note t.answers ~source:sname ~cond:ctext ~finish:ev.Sim.finish
+              ~version:(version ()) answer;
+            (Plan_compile.Items answer, Item_set.cardinal answer)))
+    | CSemijoin { dst; s; cond; input; sname; ctext } -> (
+      let probe = items t input in
       let derived =
         match
           Answer_cache.find t.answers ~source:sname ~cond:ctext
@@ -329,101 +270,43 @@ module Engine = struct
         | Answer_cache.Cached (_staleness, full) ->
           Some (ready, Item_set.inter full probe, false)
         | Answer_cache.Miss -> (
-          match Option.bind t.cache (fun c -> Query_cache.find c s condition) with
+          match Option.bind t.cache (fun c -> Query_cache.find c ~sname ~ctext) with
           | Some full -> Some (ready, Item_set.inter full probe, false)
-          | None -> (
-            match
-              Option.bind t.cache (fun c -> Query_cache.find_sjq c s condition probe)
-            with
-            | Some answer -> Some (ready, answer, false)
-            | None -> None))
+          | None ->
+            Option.bind t.cache (fun c -> Query_cache.find_sjq c ~sname ~ctext probe)
+            |> Option.map (fun answer -> (ready, answer, false)))
       in
       match derived with
-      | Some (finish, answer, coalesced) ->
-        record_derived_hit answer;
-        cache_outcome t ctx true;
-        bind t dst (Items answer) finish;
-        { op; cost = 0.0; result_size = Item_set.cardinal answer; start = ready; finish;
-          coalesced; sched = Some { task = id; server = j; deps; dispatched = false } }
-      | None -> (
-        let outcome, duration, ev =
-          source_call t ~node ~server:j ~ready (fun () ->
-              fst (Source.semijoin_query s condition probe))
-        in
-        match outcome with
-        | Some answer ->
-          Option.iter (fun c -> Query_cache.store_sjq c s condition probe answer) t.cache;
-          cache_outcome t ctx false;
-          bind t dst (Items answer) ev.Sim.finish;
-          { op; cost = duration; result_size = Item_set.cardinal answer;
-            start = ev.Sim.start; finish = ev.Sim.finish; coalesced = false;
-            sched = Some { task = id; server = j; deps; dispatched = true } }
-        | None ->
-          give_up t op;
-          bind t dst (Items Item_set.empty) ev.Sim.finish;
-          { op; cost = duration; result_size = 0; start = ev.Sim.start;
-            finish = ev.Sim.finish; coalesced = false;
-            sched = Some { task = id; server = j; deps; dispatched = true } }))
-    | Load { dst; source = j } -> (
-      let s = source t j in
-      let ready = ready_of t op in
-      let id, deps = slot node in
-      let outcome, duration, ev =
-        source_call t ~node ~server:j ~ready (fun () -> fst (Source.load_query s))
-      in
-      match outcome with
-      | Some relation ->
-        bind t dst (Loaded relation) ev.Sim.finish;
-        { op; cost = duration; result_size = Relation.cardinality relation;
-          start = ev.Sim.start; finish = ev.Sim.finish; coalesced = false;
-          sched = Some { task = id; server = j; deps; dispatched = true } }
+      | Some copy -> reused s ~probe dst copy
       | None ->
-        give_up t op;
-        bind t dst (Loaded (Relation.create ~name:(Source.name s) (Source.schema s)))
-          ev.Sim.finish;
-        { op; cost = duration; result_size = 0; start = ev.Sim.start;
-          finish = ev.Sim.finish; coalesced = false;
-          sched = Some { task = id; server = j; deps; dispatched = true } })
-    | Local_select { dst; cond = c; input } ->
-      let relation = loaded t input in
-      let ready = ready_of t op in
-      (* Compiled-plan engines share the steady-state columnar scan;
-         standalone engines compile one per op (still a column scan,
-         just not reused across runs). *)
-      let answer =
-        match
-          Option.bind t.compiled (fun cp -> Plan_compile.local_select cp op relation)
-        with
-        | Some answer -> answer
-        | None -> Cond_vec.select_items (Cond_vec.compile relation (cond t c))
-      in
-      bind t dst (Items answer) ready;
-      { op; cost = 0.0; result_size = Item_set.cardinal answer; start = ready;
-        finish = ready; coalesced = false; sched = None }
-    | Union { dst; args } ->
-      let ready = ready_of t op in
-      let answer = Item_set.union_list (List.map (items t) args) in
-      bind t dst (Items answer) ready;
-      { op; cost = 0.0; result_size = Item_set.cardinal answer; start = ready;
-        finish = ready; coalesced = false; sched = None }
-    | Inter { dst; args } ->
-      let ready = ready_of t op in
-      let answer = Item_set.inter_list (List.map (items t) args) in
-      bind t dst (Items answer) ready;
-      { op; cost = 0.0; result_size = Item_set.cardinal answer; start = ready;
-        finish = ready; coalesced = false; sched = None }
-    | Diff { dst; left; right } ->
-      let ready = ready_of t op in
-      let answer = Item_set.diff (items t left) (items t right) in
-      bind t dst (Items answer) ready;
-      { op; cost = 0.0; result_size = Item_set.cardinal answer; start = ready;
-        finish = ready; coalesced = false; sched = None }
+        fetch s dst ~empty:no_items
+          (fun () -> fst (Source.semijoin_query s cond probe))
+          (fun answer _ev ->
+            Option.iter
+              (fun c -> Query_cache.store_sjq c ~sname ~ctext probe answer)
+              t.cache;
+            Query_cache.miss t.cache ctx;
+            (Plan_compile.Items answer, Item_set.cardinal answer)))
+    | CLoad { dst; s } ->
+      fetch s dst
+        ~empty:(fun () ->
+          Plan_compile.Loaded (Relation.create ~name:(Source.name s) (Source.schema s)))
+        (fun () -> fst (Source.load_query s))
+        (fun relation _ev -> (Plan_compile.Loaded relation, Relation.cardinality relation))
+    | CLocal { dst; cond; input; state } ->
+      local dst (Plan_compile.scan state cond (Plan_compile.loaded t.binding input))
+    | CUnion { dst; args } ->
+      local dst (Item_set.union_list (Array.to_list (Array.map (items t) args)))
+    | CInter { dst; args } ->
+      local dst (Item_set.inter_list (Array.to_list (Array.map (items t) args)))
+    | CDiff { dst; left; right } -> local dst (Item_set.diff (items t left) (items t right))
 
-  let run_op t ~node op =
+  let run_op t k sched =
+    let op = t.ops.(k) in
     let step =
       Trace.span Trace.Step (Op.name op) (fun ctx ->
           let failures_before = t.failures in
-          let step = exec_op t ctx ~node op in
+          let step = exec_op t ctx k sched in
           if Trace.active ctx then begin
             Trace.attrs ctx
               [
@@ -458,43 +341,39 @@ module Engine = struct
     t.steps <- step :: t.steps;
     step
 
+  let finished t = t.pc >= Array.length t.ops
+
   (* Evaluate free local operations at the head of the cursor, then
      surface the next source query (or nothing, when the plan is done).
      Local operations never need a scheduling decision: they cost
      nothing and happen the instant their inputs are available. *)
   let rec pending t =
-    match t.ops with
-    | [] -> None
-    | op :: rest ->
+    if finished t then None
+    else
+      let k = t.pc in
+      let op = t.ops.(k) in
       if Op.is_source_query op then
-        let server =
-          match op with
-          | Op.Select { source; _ } | Op.Semijoin { source; _ } | Op.Load { source; _ } ->
-            source
-          | _ -> assert false
-        in
+        let _, server, _ = t.nodes.(t.sq_index) in
         Some
           {
             rq_op = op;
             rq_server = server;
-            rq_ready = ready_of t op;
+            rq_ready = ready_of t k;
             rq_task = t.offset + t.sq_index;
           }
       else begin
-        t.ops <- rest;
-        ignore (run_op t ~node:None op);
+        t.pc <- k + 1;
+        ignore (run_op t k None);
         pending t
       end
 
   let dispatch t =
-    match t.ops with
-    | op :: rest when Op.is_source_query op ->
-      t.ops <- rest;
-      let node = next_node t in
-      run_op t ~node:(Some node) op
-    | _ -> invalid_arg "Exec_async.Engine.dispatch: no pending source query"
+    let k = t.pc in
+    if finished t || not (Op.is_source_query t.ops.(k)) then
+      invalid_arg "Exec_async.Engine.dispatch: no pending source query";
+    t.pc <- k + 1;
+    run_op t k (Some (next_node t))
 
-  let finished t = t.ops = []
   let task_count t = Array.length t.nodes
   let steps t = List.rev t.steps
   let failures t = t.failures
@@ -504,8 +383,8 @@ module Engine = struct
   let finish_time t = List.fold_left (fun acc s -> Float.max acc s.finish) t.base t.steps
 
   let answer t =
-    if t.ops <> [] then invalid_arg "Exec_async.Engine.answer: plan not finished";
-    items t t.output
+    if not (finished t) then invalid_arg "Exec_async.Engine.answer: plan not finished";
+    items t t.out
 end
 
 (* The sequential driver: dispatch every request the moment it
@@ -522,42 +401,31 @@ let drive_sequential e =
 
 (* The concurrent dataflow driver for real-clock runtimes: walk the
    plan in order, fork one fibre per source query, and synchronize
-   through per-variable promises — an op waits only for the in-flight
+   through per-slot promises — an op waits only for the in-flight
    producers of its own inputs, so independent queries really overlap
    while the runtime's per-server lanes keep each source FIFO. Node
    ids are assigned on the driving fibre, in plan order, before the
    query fibre first suspends. *)
-let drive_concurrent e rt =
+let drive_concurrent (e : Engine.t) rt =
   Runtime.run rt @@ fun () ->
-  let inflight : (string, unit Fiber.Promise.t) Hashtbl.t = Hashtbl.create 16 in
-  let await_uses op =
-    List.iter
-      (fun v ->
-        match Hashtbl.find_opt inflight v with
-        | Some p -> Fiber.Promise.await p
-        | None -> ())
-      (Op.uses op)
-  in
+  let inflight = Array.make (Array.length e.binding) None in
   Fiber.Switch.run (fun sw ->
-      let rec drive () =
-        match e.Engine.ops with
-        | [] -> ()
-        | op :: rest ->
-          await_uses op;
-          e.Engine.ops <- rest;
-          if Op.is_source_query op then begin
-            let node = Engine.next_node e in
-            let p = Fiber.Promise.create () in
-            Hashtbl.replace inflight (Op.dst op) p;
-            Fiber.Switch.fork sw (fun () ->
-                Fun.protect
-                  ~finally:(fun () -> Fiber.Promise.resolve p ())
-                  (fun () -> ignore (Engine.run_op e ~node:(Some node) op)))
-          end
-          else ignore (Engine.run_op e ~node:None op);
-          drive ()
-      in
-      drive ())
+      while not (Engine.finished e) do
+        let k = e.pc in
+        Array.iter (fun i -> Option.iter Fiber.Promise.await inflight.(i))
+          (Engine.uses e.cops.(k));
+        e.pc <- k + 1;
+        match e.cops.(k) with
+        | CSelect { dst; _ } | CSemijoin { dst; _ } | CLoad { dst; _ } ->
+          let node = Engine.next_node e in
+          let p = Fiber.Promise.create () in
+          inflight.(dst) <- Some p;
+          Fiber.Switch.fork sw (fun () ->
+              Fun.protect
+                ~finally:(fun () -> Fiber.Promise.resolve p ())
+                (fun () -> ignore (Engine.run_op e k (Some node))))
+        | CLocal _ | CUnion _ | CInter _ | CDiff _ -> ignore (Engine.run_op e k None)
+      done)
 
 let collect e rt =
   let steps = Engine.steps e in
@@ -573,9 +441,12 @@ let collect e rt =
   }
 
 let run_on ?cache ?policy ?deadline ~rt ~sources ~conds plan =
-  let e = Engine.create ?cache ?policy ?deadline ~rt ~sources ~conds plan in
-  if Runtime.is_real rt then drive_concurrent e rt else drive_sequential e;
-  collect e rt
+  match Plan_compile.compile ~sources ~conds plan with
+  | Error msg -> raise (Exec.Runtime_error msg)
+  | Ok cp ->
+    let e = Engine.create ?cache ?policy ?deadline ~rt cp in
+    if Runtime.is_real rt then drive_concurrent e rt else drive_sequential e;
+    collect e rt
 
 let run ?cache ?policy ?deadline ~sources ~conds plan =
   run_on ?cache ?policy ?deadline

@@ -97,21 +97,19 @@ module Engine : sig
     ?answers:Answer_cache.t ->
     ?offset:int ->
     ?base:float ->
-    ?compiled:Plan_compile.t ->
     rt:Fusion_rt.Runtime.t ->
-    sources:Source.t array ->
-    conds:Cond.t array ->
-    Plan.t ->
+    Plan_compile.t ->
     t
-  (** [answers] is the cross-query {!Answer_cache} shared with other
-      engines on the same network (a private, TTL-less one if omitted —
-      plain per-run request coalescing). [offset] shifts the engine's
+  (** An engine over a compiled plan. It keeps its own slot frame, so
+      it never touches the compiled plan's sequential scratch; the
+      plan's local-selection scans are reused across its runs. Give
+      each concurrently live engine its own compiled plan. [answers]
+      is the cross-query {!Answer_cache} shared with other engines on
+      the same network (a private, TTL-less one if omitted — plain
+      per-run request coalescing). [offset] shifts the engine's
       dataflow task ids so timelines of many engines never collide.
       [base] is the instant the query was admitted: no step starts
-      before it. [compiled] is the {!Plan_compile} form of the same
-      plan: local selections then reuse its persistent columnar scans
-      (the serving layer passes one per cached plan). [cache],
-      [policy], [deadline] as in {!run}. *)
+      before it. [cache], [policy], [deadline] as in {!run}. *)
 
   val pending : t -> request option
   (** Advances through local operations (evaluating them at their ready
@@ -159,8 +157,10 @@ val run :
     [infinity]) is a per-query budget of simulated service time: once a
     source query's attempts have consumed that much, remaining retries
     are forfeited and the {!Exec.policy.on_exhausted} action applies —
-    time already spent is still charged.
-    @raise Exec.Runtime_error as {!Exec.run} does.
+    time already spent is still charged. The plan is compiled with
+    {!Plan_compile.compile} first.
+    @raise Exec.Runtime_error when the plan fails to compile, as
+    {!Exec.run} does on an invalid plan.
     @raise Source.Timeout under the [`Fail] policy. *)
 
 val run_on :

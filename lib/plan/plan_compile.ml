@@ -2,7 +2,6 @@ open Fusion_data
 open Fusion_cond
 open Fusion_source
 module Trace = Fusion_obs.Trace
-module Metrics = Fusion_obs.Metrics
 module Query_cache = Exec.Query_cache
 
 type slot = Unset | Items of Item_set.t | Loaded of Relation.t
@@ -44,11 +43,18 @@ type t = {
   ops : Op.t array; (* plan order; kept for steps and trace parity *)
   cops : cop array; (* same order, variables resolved to slots *)
   out : int;
+  nodes : (Op.t * int * int list) array; (* dataflow table of the source queries *)
   slots : slot array; (* run-to-run scratch: makes a value non-reentrant *)
 }
 
 let plan t = t.plan
 let sources t = t.sources
+let ops t = t.ops
+let cops t = t.cops
+let output t = t.out
+let nslots t = Array.length t.slots
+let nodes t = t.nodes
+let scan state cond rel = Cond_vec.select_items (local_vec state cond rel)
 
 let compile ~sources ~conds p =
   match Plan.validate ~m:(Array.length conds) ~n:(Array.length sources) p with
@@ -102,23 +108,24 @@ let compile ~sources ~conds p =
     let ops = Array.of_list (Plan.ops p) in
     let cops = Array.map cop ops in
     let out = slot (Plan.output p) in
-    Ok { plan = p; sources; ops; cops; out; slots = Array.make !nslots Unset }
+    let nodes = Array.of_list (Parallel_exec.dataflow p) in
+    Ok { plan = p; sources; ops; cops; out; nodes; slots = Array.make !nslots Unset }
 
 (* Unreachable after [Plan.validate] (which [compile] runs); kept as
    guards with the interpreter's exception type. *)
-let items t i =
-  match t.slots.(i) with
+let items slots i =
+  match slots.(i) with
   | Items s -> s
   | Loaded _ -> raise (Exec.Runtime_error "loaded relation used as an item set")
   | Unset -> raise (Exec.Runtime_error "undefined variable")
 
-let loaded t i =
-  match t.slots.(i) with
+let loaded slots i =
+  match slots.(i) with
   | Loaded r -> r
   | Items _ -> raise (Exec.Runtime_error "item set used as a loaded relation")
   | Unset -> raise (Exec.Runtime_error "undefined variable")
 
-let items_of_args t args = Array.to_list (Array.map (items t) args)
+let items_of_args slots args = Array.to_list (Array.map (items slots) args)
 
 let exec ?cache ?(policy = Exec.default_policy) ~record_steps t =
   let { Exec.retries; on_exhausted } = policy in
@@ -130,61 +137,36 @@ let exec ?cache ?(policy = Exec.default_policy) ~record_steps t =
       (fun acc s -> acc +. (Source.totals s).Fusion_net.Meter.cost)
       0.0 t.sources
   in
-  let cache_outcome ctx hit =
-    if cache <> None then begin
-      Trace.attr ctx "cache" (Trace.Str (if hit then "hit" else "miss"));
-      Metrics.record (fun r ->
-          Metrics.incr r
-            (if hit then "fusion_cache_hits_total" else "fusion_cache_misses_total"))
-    end
-  in
   let exec_cop ctx cop =
     match cop with
     | CSelect { dst; s; cond; sname; ctext } -> (
-      let cached = Option.bind cache (fun c -> Query_cache.find_keyed c ~sname ~ctext) in
-      match cached with
+      match Option.bind cache (fun c -> Query_cache.find c ~sname ~ctext) with
       | Some answer ->
-        Option.iter
-          (fun c ->
-            Query_cache.record_hit c s ~items_sent:0
-              ~items_received:(Item_set.cardinal answer))
-          cache;
-        cache_outcome ctx true;
+        Query_cache.hit cache ctx s answer;
         t.slots.(dst) <- Items answer;
         (0.0, Item_set.cardinal answer)
       | None ->
         let answer, cost = Source.select_query s cond in
-        Option.iter (fun c -> Query_cache.store_keyed c ~sname ~ctext answer) cache;
-        cache_outcome ctx false;
+        Option.iter (fun c -> Query_cache.store c ~sname ~ctext answer) cache;
+        Query_cache.miss cache ctx;
         t.slots.(dst) <- Items answer;
         (cost, Item_set.cardinal answer))
     | CSemijoin { dst; s; cond; input; sname; ctext } -> (
-      let probe = items t input in
+      let probe = items t.slots input in
       let cached =
-        match Option.bind cache (fun c -> Query_cache.find_keyed c ~sname ~ctext) with
+        match Option.bind cache (fun c -> Query_cache.find c ~sname ~ctext) with
         | Some full -> Some (Item_set.inter full probe)
-        | None ->
-          Option.bind cache (fun c -> Query_cache.find_sjq_keyed c ~sname ~ctext probe)
+        | None -> Option.bind cache (fun c -> Query_cache.find_sjq c ~sname ~ctext probe)
       in
       match cached with
       | Some answer ->
-        Option.iter
-          (fun c ->
-            let received = Item_set.cardinal answer in
-            if (Source.capability s).Capability.native_semijoin then
-              Query_cache.record_hit c s ~items_sent:(Item_set.cardinal probe)
-                ~items_received:received
-            else
-              Query_cache.record_hit_emulated c s ~bindings:(Item_set.cardinal probe)
-                ~items_received:received)
-          cache;
-        cache_outcome ctx true;
+        Query_cache.hit cache ctx s ~probe answer;
         t.slots.(dst) <- Items answer;
         (0.0, Item_set.cardinal answer)
       | None ->
         let answer, cost = Source.semijoin_query s cond probe in
-        Option.iter (fun c -> Query_cache.store_sjq_keyed c ~sname ~ctext probe answer) cache;
-        cache_outcome ctx false;
+        Option.iter (fun c -> Query_cache.store_sjq c ~sname ~ctext probe answer) cache;
+        Query_cache.miss cache ctx;
         t.slots.(dst) <- Items answer;
         (cost, Item_set.cardinal answer))
     | CLoad { dst; s } ->
@@ -192,20 +174,19 @@ let exec ?cache ?(policy = Exec.default_policy) ~record_steps t =
       t.slots.(dst) <- Loaded relation;
       (cost, Relation.cardinality relation)
     | CLocal { dst; cond; input; state } ->
-      let relation = loaded t input in
-      let answer = Cond_vec.select_items (local_vec state cond relation) in
+      let answer = scan state cond (loaded t.slots input) in
       t.slots.(dst) <- Items answer;
       (0.0, Item_set.cardinal answer)
     | CUnion { dst; args } ->
-      let answer = Item_set.union_list (items_of_args t args) in
+      let answer = Item_set.union_list (items_of_args t.slots args) in
       t.slots.(dst) <- Items answer;
       (0.0, Item_set.cardinal answer)
     | CInter { dst; args } ->
-      let answer = Item_set.inter_list (items_of_args t args) in
+      let answer = Item_set.inter_list (items_of_args t.slots args) in
       t.slots.(dst) <- Items answer;
       (0.0, Item_set.cardinal answer)
     | CDiff { dst; left; right } ->
-      let answer = Item_set.diff (items t left) (items t right) in
+      let answer = Item_set.diff (items t.slots left) (items t.slots right) in
       t.slots.(dst) <- Items answer;
       (0.0, Item_set.cardinal answer)
   in
@@ -264,7 +245,7 @@ let exec ?cache ?(policy = Exec.default_policy) ~record_steps t =
     if record_steps then steps := { Exec.op; cost; result_size } :: !steps
   done;
   {
-    Exec.answer = items t t.out;
+    Exec.answer = items t.slots t.out;
     steps = List.rev !steps;
     total_cost = !total;
     failures = !failures;
@@ -274,19 +255,3 @@ let exec ?cache ?(policy = Exec.default_policy) ~record_steps t =
 let run ?cache ?policy t = exec ?cache ?policy ~record_steps:true t
 
 let answer ?cache ?policy t = (exec ?cache ?policy ~record_steps:false t).Exec.answer
-
-(* Concurrent-engine hook: [Exec_async] resolves its [Local_select] ops
-   against the compiled plan by physical op identity, sharing the
-   steady-state scan cache. *)
-let local_select t (op : Op.t) relation =
-  let n = Array.length t.ops in
-  let rec find k =
-    if k = n then None
-    else if t.ops.(k) == op then
-      match t.cops.(k) with
-      | CLocal { cond; state; _ } ->
-        Some (Cond_vec.select_items (local_vec state cond relation))
-      | _ -> None
-    else find (k + 1)
-  in
-  find 0

@@ -16,13 +16,44 @@
     DAGs. [answer] is the steady-state serving entry: same execution,
     but skips materializing the step list.
 
+    The compiled form is also what the concurrent
+    {!Exec_async.Engine} walks, with its own slot frame per engine: it
+    is the only plan form production executors run; {!Exec} remains as
+    the reference interpreter.
+
     A compiled plan holds mutable scratch (the slot frame and scan
     buffers): run each value from one engine at a time. *)
 
 open Fusion_data
+open Fusion_cond
 open Fusion_source
 
 type t
+
+type local_state
+(** A local selection's columnar scan, compiled on first use and kept
+    while the loaded relation stays the same object. *)
+
+(** One plan operation with its variables resolved to slot indices,
+    its source resolved, and its cache keys ([sname], [ctext])
+    rendered. *)
+type cop =
+  | CSelect of { dst : int; s : Source.t; cond : Cond.t; sname : string; ctext : string }
+  | CSemijoin of {
+      dst : int;
+      s : Source.t;
+      cond : Cond.t;
+      input : int;
+      sname : string;
+      ctext : string;
+    }
+  | CLoad of { dst : int; s : Source.t }
+  | CLocal of { dst : int; cond : Cond.t; input : int; state : local_state }
+  | CUnion of { dst : int; args : int array }
+  | CInter of { dst : int; args : int array }
+  | CDiff of { dst : int; left : int; right : int }
+
+type slot = Unset | Items of Item_set.t | Loaded of Relation.t
 
 val compile :
   sources:Source.t array -> conds:Fusion_cond.Cond.t array -> Plan.t -> (t, string) result
@@ -40,10 +71,28 @@ val answer : ?cache:Exec.Query_cache.t -> ?policy:Exec.policy -> t -> Item_set.t
 (** Like {!run}, returning only the answer and skipping step-list
     construction — the minimal-allocation serving loop. *)
 
-val local_select : t -> Op.t -> Relation.t -> Item_set.t option
-(** [local_select t op rel] answers a [Local_select] op of the compiled
-    plan (matched by physical identity) with the compiled columnar
-    scan, against the given loaded relation. [None] when [op] is not
-    one of this plan's local selections — callers fall back to their
-    own evaluation. Used by [Exec_async] engines created with a
-    compiled plan. *)
+(** {2 The compiled form, for executors} *)
+
+val ops : t -> Op.t array
+(** The plan's operations, in plan order. *)
+
+val cops : t -> cop array
+(** The compiled operations, aligned with {!ops}. *)
+
+val output : t -> int
+(** The slot holding the plan's answer. *)
+
+val nslots : t -> int
+(** Size of a slot frame. *)
+
+val nodes : t -> (Op.t * int * int list) array
+(** {!Parallel_exec.dataflow} of the plan, built at compile time: one
+    node per source query, in plan order. *)
+
+val items : slot array -> int -> Item_set.t
+val loaded : slot array -> int -> Relation.t
+(** Read a slot of a frame. @raise Exec.Runtime_error on an unbound or
+    mistyped slot, which {!compile}'s validation rules out. *)
+
+val scan : local_state -> Cond.t -> Relation.t -> Item_set.t
+(** Runs a local selection's columnar scan over the loaded relation. *)

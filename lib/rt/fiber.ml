@@ -88,15 +88,20 @@ let suspend register = suspend_full ~cancellable:true ~external_:false (fun r ->
 let suspend_external register =
   suspend_full ~cancellable:true ~external_:true (fun r -> register r.fire)
 
+(* The wake byte is written under [ext_lock]: the scheduler may take
+   the thunk, finish, and close the pipe the moment the lock is
+   released, so a write after it could hit a closed or reused
+   descriptor. [cleanup] closes the pipe under the same lock and leaves
+   [pipe_armed] set, so no later enqueuer writes at all. *)
 let enqueue_external sched thunk =
   Mutex.lock sched.ext_lock;
   sched.ext_q <- thunk :: sched.ext_q;
-  let need_wake = not sched.pipe_armed in
-  sched.pipe_armed <- true;
-  Mutex.unlock sched.ext_lock;
-  if need_wake then
+  if not sched.pipe_armed then begin
+    sched.pipe_armed <- true;
     try ignore (Unix.write sched.pipe_w (Bytes.make 1 'w') 0 1) with
     | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  end;
+  Mutex.unlock sched.ext_lock
 
 (* --- switches ------------------------------------------------------------- *)
 
@@ -150,8 +155,13 @@ let handler sched ~on_done =
               if external_ then Atomic.incr sched.ext_pending;
               let fire (r : (a, exn) result) =
                 if Atomic.compare_and_set resolved false true then begin
-                  if external_ then Atomic.decr sched.ext_pending;
+                  (* The pending count drops only once the resumption
+                     runs on the scheduler domain: dropping it here,
+                     before the thunk reaches the wake queue, lets the
+                     idle loop see no pending completion and an empty
+                     queue, and report a spurious [Deadlock]. *)
                   let thunk () =
+                    if external_ then Atomic.decr sched.ext_pending;
                     sched.cur <- ctx;
                     ctx.cancel <- None;
                     match r with
@@ -598,8 +608,11 @@ let run main =
   in
   let cleanup () =
     current := None;
+    Mutex.lock sched.ext_lock;
+    sched.pipe_armed <- true;
     (try Unix.close pipe_r with Unix.Unix_error _ -> ());
-    try Unix.close pipe_w with Unix.Unix_error _ -> ()
+    (try Unix.close pipe_w with Unix.Unix_error _ -> ());
+    Mutex.unlock sched.ext_lock
   in
   let rec loop () =
     match Queue.take_opt sched.run_q with

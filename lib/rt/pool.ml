@@ -22,7 +22,7 @@ type t = {
   mutable stop : bool;
   mutable workers : unit Domain.t list;
   size : int;
-  mutable executed : int; (* jobs completed over the pool's lifetime *)
+  executed : int Atomic.t; (* jobs completed over the pool's lifetime *)
   mutable queue_hwm : int; (* deepest any single lane's queue has been *)
 }
 
@@ -38,10 +38,12 @@ let rec worker_loop t =
     t.busy.(lane) <- true;
     Mutex.unlock t.lock;
     let r = match f () with v -> Ok v | exception e -> Error e in
+    (* Counted before [k] hands the result off, so a caller woken by the
+       completion already sees it in [stats]. *)
+    Atomic.incr t.executed;
     (try k r with _ -> ());
     Mutex.lock t.lock;
     t.busy.(lane) <- false;
-    t.executed <- t.executed + 1;
     if not (Queue.is_empty t.queues.(lane)) then begin
       Queue.push lane t.runnable;
       Condition.signal t.work
@@ -63,7 +65,7 @@ let create ~domains ~lanes =
       stop = false;
       workers = [];
       size = domains;
-      executed = 0;
+      executed = Atomic.make 0;
       queue_hwm = 0;
     }
   in
@@ -95,7 +97,7 @@ let stats t =
       busy_lanes;
       queued_jobs;
       queue_high_water = t.queue_hwm;
-      executed = t.executed;
+      executed = Atomic.get t.executed;
     }
   in
   Mutex.unlock t.lock;

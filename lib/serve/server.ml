@@ -1,8 +1,9 @@
 (* Multi-query serving on one shared network.
 
    A server holds one [Fusion_rt.Runtime] over a fixed source array
-   and multiplexes many fusion queries onto it. Each admitted query becomes
-   an [Exec_async.Engine] — an incremental cursor that evaluates local
+   and multiplexes many fusion queries onto it. Each admitted query is
+   compiled and becomes an [Exec_async.Engine] over the compiled plan —
+   an incremental cursor that evaluates local
    operations for free and surfaces one source query at a time — and
    the server's event loop is the scheduler: at every step it either
    admits the next arrival or dispatches, among the in-flight engines'
@@ -202,11 +203,6 @@ type t = {
   mutable delta_deletes : int;
   mutable pushes : int;
   mutable now : float; (* latest instant the server acted at *)
-  mutable compiled : (Plan.t * Cond.t array * Plan_compile.t) list;
-      (* compiled-plan cache, MRU first, keyed by physical (plan, conds)
-         identity: drivers resubmit the same job value, so steady-state
-         serving reuses one compiled plan (and its columnar scans) per
-         standing query shape *)
   wake : Fiber.Semaphore.t; (* nudged on submit/completion; a real-clock pump waits here *)
 }
 
@@ -246,38 +242,8 @@ let create ?(policy = Fifo) ?(max_inflight = 64) ?cache_ttl ?(versioned_cache = 
     delta_deletes = 0;
     pushes = 0;
     now = 0.0;
-    compiled = [];
     wake = Fiber.Semaphore.create 0;
   }
-
-(* The compiled form of a job's plan: MRU lookup by physical identity,
-   compiling (and remembering) on first sight. A plan that fails to
-   compile (it would also fail to run) just skips the fast path. *)
-let compiled_cap = 64
-
-let compiled_plan t job =
-  let rec find acc = function
-    | [] -> None
-    | ((p, cs, cp) as e) :: rest ->
-      if p == job.plan && cs == job.conds then begin
-        t.compiled <- e :: List.rev_append acc rest;
-        Some cp
-      end
-      else find (e :: acc) rest
-  in
-  match find [] t.compiled with
-  | Some cp -> Some cp
-  | None -> (
-    match Plan_compile.compile ~sources:t.sources ~conds:job.conds job.plan with
-    | Error _ -> None
-    | Ok cp ->
-      let kept =
-        if List.length t.compiled >= compiled_cap then
-          List.filteri (fun i _ -> i < compiled_cap - 1) t.compiled
-        else t.compiled
-      in
-      t.compiled <- (job.plan, job.conds, cp) :: kept;
-      Some cp)
 
 let policy t = t.policy
 let shard t = t.shard
@@ -379,45 +345,30 @@ let conservation_ok s = s.submitted = s.queued + s.in_flight + s.completed + s.s
 let completions t = List.rev t.completions
 let sheds t = List.rev t.sheds
 
-let finalize t a ~failed =
-  t.inflight <- List.filter (fun x -> x.a_id <> a.a_id) t.inflight;
-  let finished = Float.max a.a_at (Engine.finish_time a.a_engine) in
-  t.now <- Float.max t.now finished;
-  let cost = Engine.total_cost a.a_engine in
-  let answer = if failed = None then Some (Engine.answer a.a_engine) else None in
-  let c =
-    {
-      c_id = a.a_id;
-      c_job = a.a_job;
-      c_submitted = a.a_at;
-      c_finished = finished;
-      c_response = finished -. a.a_at;
-      c_cost = cost;
-      c_answer = answer;
-      c_failed = failed;
-      c_partial = Engine.partial a.a_engine;
-      c_steps = Engine.steps a.a_engine;
-    }
-  in
+(* Books a finished job: completion list, tenant accounting, slow log,
+   metrics, hooks. *)
+let complete t c =
+  t.now <- Float.max t.now c.c_finished;
   t.completions <- c :: t.completions;
-  let tn = tenant t a.a_job.tenant in
+  let job = c.c_job in
+  let tn = tenant t job.tenant in
   tn.tn_completed <- tn.tn_completed + 1;
-  Summary.add tn.tn_summary ~plan:(policy_name t.policy) ~est_cost:a.a_job.est_cost
-    ~cost ~response_time:c.c_response ();
+  Summary.add tn.tn_summary ~plan:(policy_name t.policy) ~est_cost:job.est_cost
+    ~cost:c.c_cost ~response_time:c.c_response ();
   (* The window's clock is the server's: simulated instants on the sim
      backend, epoch-relative wall seconds on domains — monotone either
      way. *)
-  Window.add tn.tn_window ~now:finished c.c_response;
+  Window.add tn.tn_window ~now:c.c_finished c.c_response;
   Option.iter
     (fun log ->
-      Slow_log.note log ~id:c.c_id ~tenant:a.a_job.tenant ~label:a.a_job.label
-        ~plan:a.a_job.plan ~submitted:c.c_submitted ~response:c.c_response
-        ~cost ~failed c.c_steps)
+      Slow_log.note log ~id:c.c_id ~tenant:job.tenant ~label:job.label ~plan:job.plan
+        ~submitted:c.c_submitted ~response:c.c_response ~cost:c.c_cost
+        ~failed:c.c_failed c.c_steps)
     t.slow_log;
   Metrics.record (fun r ->
-      let ls = labels t [ ("tenant", a.a_job.tenant) ] in
+      let ls = labels t [ ("tenant", job.tenant) ] in
       Metrics.incr r ~labels:ls "fusion_serve_completed_total";
-      if failed <> None then Metrics.incr r ~labels:ls "fusion_serve_failed_total";
+      if c.c_failed <> None then Metrics.incr r ~labels:ls "fusion_serve_failed_total";
       if tn.tn_dispatch_pending > 0 then begin
         Metrics.incr r ~labels:ls
           ~by:(float_of_int tn.tn_dispatch_pending)
@@ -427,6 +378,23 @@ let finalize t a ~failed =
       Metrics.observe r ~labels:ls "fusion_serve_response_time"
         (int_of_float (Float.round c.c_response)));
   List.iter (fun hook -> hook c) t.hooks
+
+let finalize t a ~failed =
+  t.inflight <- List.filter (fun x -> x.a_id <> a.a_id) t.inflight;
+  let finished = Float.max a.a_at (Engine.finish_time a.a_engine) in
+  complete t
+    {
+      c_id = a.a_id;
+      c_job = a.a_job;
+      c_submitted = a.a_at;
+      c_finished = finished;
+      c_response = finished -. a.a_at;
+      c_cost = Engine.total_cost a.a_engine;
+      c_answer = (if failed = None then Some (Engine.answer a.a_engine) else None);
+      c_failed = failed;
+      c_partial = Engine.partial a.a_engine;
+      c_steps = Engine.steps a.a_engine;
+    }
 
 (* Retire every in-flight engine whose plan has run out of operations.
    [Engine.pending] also evaluates trailing local operations, so this
@@ -469,18 +437,34 @@ let admit t p =
         wait +. p.p_job.est_cost > budget
     in
     if unmeetable then shed t p Deadline_unmeetable
-    else begin
-      let engine =
-        Engine.create ~policy:t.exec_policy ~answers:t.answers ~offset:t.task_offset
-          ~base:p.p_at ?compiled:(compiled_plan t p.p_job) ~rt:t.rt
-          ~sources:t.sources ~conds:p.p_job.conds p.p_job.plan
-      in
-      t.task_offset <- t.task_offset + Engine.task_count engine;
-      t.inflight <-
-        t.inflight
-        @ [ { a_id = p.p_id; a_job = p.p_job; a_at = p.p_at; a_engine = engine;
-              a_busy = false } ]
-    end
+    else
+      match Plan_compile.compile ~sources:t.sources ~conds:p.p_job.conds p.p_job.plan with
+      | Error msg ->
+        (* A plan that cannot compile could not run either: it fails
+           at admission, without occupying any source. *)
+        complete t
+          {
+            c_id = p.p_id;
+            c_job = p.p_job;
+            c_submitted = p.p_at;
+            c_finished = p.p_at;
+            c_response = 0.0;
+            c_cost = 0.0;
+            c_answer = None;
+            c_failed = Some ("invalid plan: " ^ msg);
+            c_partial = false;
+            c_steps = [];
+          }
+      | Ok cp ->
+        let engine =
+          Engine.create ~policy:t.exec_policy ~answers:t.answers ~offset:t.task_offset
+            ~base:p.p_at ~rt:t.rt cp
+        in
+        t.task_offset <- t.task_offset + Engine.task_count engine;
+        t.inflight <-
+          t.inflight
+          @ [ { a_id = p.p_id; a_job = p.p_job; a_at = p.p_at; a_engine = engine;
+                a_busy = false } ]
 
 (* How the policy ranks a pending request; lexicographic, smaller
    first. The trailing submission id makes every ordering total and

@@ -3,7 +3,8 @@
     Where {!Fusion_plan.Exec_async} runs {e one} plan on a private
     network, a server multiplexes many concurrently executing fusion
     queries onto a single {!Fusion_rt.Runtime}: each admitted query
-    is an {!Fusion_plan.Exec_async.Engine}, and the server's event
+    is compiled ({!Fusion_plan.Plan_compile}) and run by an
+    {!Fusion_plan.Exec_async.Engine}, and the server's event
     loop plays scheduler — at every {!step} it either admits the next
     arrival or dispatches the pending source request its {!policy}
     ranks first onto the shared per-source FIFO queues. On the
@@ -74,6 +75,8 @@ type completion = {
   c_cost : float;  (** total service cost charged *)
   c_answer : Item_set.t option;  (** [None] when execution failed *)
   c_failed : string option;
+      (** why the job failed: a source timeout under [`Fail], or a plan
+          that fails {!Fusion_plan.Plan_compile.compile} at admission *)
   c_partial : bool;  (** gave up on some source under [`Use_partial] *)
   c_steps : Fusion_plan.Exec_async.step list;
 }

@@ -235,6 +235,30 @@ let test_to_exec_steps () =
       Alcotest.(check (float 1e-9)) "cost preserved" a.Exec_async.cost b.Exec.cost)
     par.Exec_async.steps steps
 
+(* An invalid plan fails before any source is contacted, with the
+   interpreter's exception: out-of-range indices and undefined
+   variables alike. *)
+let test_invalid_plan_raises () =
+  let instance = Workload.fig1 () in
+  let raises plan =
+    match run_async instance plan with
+    | _ -> false
+    | exception Exec.Runtime_error _ -> true
+  in
+  List.iter
+    (fun (label, ops) ->
+      Alcotest.(check bool) label true (raises (Plan.create ~ops ~output:"X")))
+    [
+      ("undefined variable", [ Op.Union { dst = "X"; args = [ "nope" ] } ]);
+      ("source out of range", [ Op.Select { dst = "X"; cond = 0; source = 99 } ]);
+      ("condition out of range", [ Op.Select { dst = "X"; cond = 99; source = 0 } ]);
+    ];
+  Array.iter
+    (fun s ->
+      Alcotest.(check int) "no request issued" 0
+        (Source.totals s).Fusion_net.Meter.requests)
+    instance.Workload.sources
+
 let suite =
   [
     async_agrees_with_seq;
@@ -248,4 +272,5 @@ let suite =
     Alcotest.test_case "deadline caps the retry budget" `Quick test_deadline_caps_retries;
     Alcotest.test_case "query cache composes with concurrency" `Quick test_cache_composes;
     Alcotest.test_case "to_exec_steps preserves the step data" `Quick test_to_exec_steps;
+    Alcotest.test_case "invalid plan raises Runtime_error" `Quick test_invalid_plan_raises;
   ]

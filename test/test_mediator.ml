@@ -142,6 +142,56 @@ let test_tcp_front () =
   Alcotest.(check bool) "conserves" true
     (Fusion_serve.Server.conservation_ok report.Tcp.stats)
 
+(* A client streaming an unbounded line gets an error and a closed
+   connection; another client is served meanwhile. The overlong line
+   counts as one received, rejected statement. *)
+let test_tcp_front_line_bound () =
+  let module Tcp = Fusion_mediator.Tcp_front in
+  let _, mediator = fig1_mediator () in
+  let loopback = Unix.ADDR_INET (Unix.inet_addr_loopback, 0) in
+  let config =
+    { Mediator.Config.default with Mediator.Config.runtime = `Domains 2 }
+  in
+  let addr = ref None and result = ref (Error "server never ran") in
+  let m = Mutex.create () and cv = Condition.create () in
+  let on_listen a =
+    Mutex.lock m;
+    addr := Some a;
+    Condition.signal cv;
+    Mutex.unlock m
+  in
+  let server =
+    Thread.create
+      (fun () ->
+        result := Tcp.serve ~config ~max_queries:2 ~on_listen ~listen:loopback mediator)
+      ()
+  in
+  Mutex.lock m;
+  while !addr = None do
+    Condition.wait cv m
+  done;
+  let connect = Option.get !addr in
+  Mutex.unlock m;
+  let fd = Unix.socket (Unix.domain_of_sockaddr connect) Unix.SOCK_STREAM 0 in
+  Unix.connect fd connect;
+  let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
+  output_string oc (String.make 65537 'x');
+  flush oc;
+  let reply = input_line ic in
+  Alcotest.(check bool) ("overlong line rejected: " ^ reply) true
+    (String.starts_with ~prefix:"error " reply);
+  Alcotest.(check bool) "connection closed after the error" true
+    (match input_line ic with _ -> false | exception End_of_file -> true);
+  close_in ic;
+  let responses = Helpers.check_ok (Tcp.client ~connect [ dmv_sql ]) in
+  Alcotest.(check bool) "other connection still served" true
+    (List.for_all (String.starts_with ~prefix:"ok ") responses);
+  Thread.join server;
+  let report = Helpers.check_ok !result in
+  Alcotest.(check int) "received" 2 report.Tcp.received;
+  Alcotest.(check int) "rejected" 1 report.Tcp.rejected;
+  Alcotest.(check int) "connections" 2 report.Tcp.connections
+
 (* The admin plane, in-process: a serve run with an admin listener on a
    second ephemeral loopback port, scraped with the blocking HTTP
    client between client batches. The exposition must carry the runtime
@@ -239,6 +289,35 @@ let test_admin_front () =
   Alcotest.(check int) "received" 2 report.Tcp.received;
   Alcotest.(check bool) "conserves" true
     (Fusion_serve.Server.conservation_ok report.Tcp.stats)
+
+(* A plan that fails to compile is an [Error] from the execution path
+   [run] uses, under sequential and concurrent execution alike. *)
+let test_execute_rejects_invalid_plan () =
+  let instance, mediator = fig1_mediator () in
+  let conds = Fusion_query.Query.conditions instance.Workload.query in
+  let bad =
+    Fusion_plan.Plan.create
+      ~ops:[ Fusion_plan.Op.Select { dst = "X"; cond = 0; source = 99 } ]
+      ~output:"X"
+  in
+  List.iter
+    (fun concurrency ->
+      let config = { Mediator.Config.default with Mediator.Config.concurrency } in
+      let msg = Helpers.check_err "invalid plan" (Mediator.execute ~config mediator ~conds bad) in
+      Alcotest.(check bool) ("error names the plan: " ^ msg) true
+        (String.starts_with ~prefix:"invalid plan" msg))
+    [ `Seq; `Par ];
+  let good =
+    Helpers.check_ok (Mediator.plan_for mediator instance.Workload.query)
+  in
+  let x =
+    Helpers.check_ok
+      (Mediator.execute mediator ~conds:good.Mediator.prep_env.Opt_env.conds
+         good.Mediator.prep_optimized.Optimized.plan)
+  in
+  Alcotest.check Helpers.item_set "a valid plan still runs"
+    (Helpers.check_ok (Mediator.run mediator instance.Workload.query)).Mediator.answer
+    x.Mediator.x_answer
 
 let test_per_source_accounting () =
   let _, mediator = fig1_mediator () in
@@ -384,7 +463,10 @@ let suite =
     Alcotest.test_case "invalid query rejected" `Quick test_run_rejects_invalid_query;
     Alcotest.test_case "runtime selection in the config" `Quick test_runtime_config;
     Alcotest.test_case "tcp front end round trip" `Quick test_tcp_front;
+    Alcotest.test_case "tcp front end line bound" `Quick test_tcp_front_line_bound;
     Alcotest.test_case "admin front scrape" `Quick test_admin_front;
+    Alcotest.test_case "execute rejects an invalid plan" `Quick
+      test_execute_rejects_invalid_plan;
     Alcotest.test_case "per-source accounting" `Quick test_per_source_accounting;
     Alcotest.test_case "two-phase processing" `Quick test_two_phase;
     Alcotest.test_case "two-phase beats single-phase" `Quick

@@ -179,6 +179,29 @@ let test_deadlock_detection () =
        false
      with Fiber.Deadlock -> true)
 
+(* A completion fired on a worker domain is in flight between the
+   resolver and the scheduler's wake queue; the idle loop must not read
+   that window as "nothing left to wait for". Thousands of back-to-back
+   immediate completions make the window likely to be hit. *)
+let test_external_completion_loop () =
+  let pool = Pool.create ~domains:1 ~lanes:1 in
+  let rounds = 20_000 in
+  let total =
+    Fun.protect
+      ~finally:(fun () -> Pool.shutdown pool)
+      (fun () ->
+        Fiber.run (fun () ->
+            let total = ref 0 in
+            for _ = 1 to rounds do
+              total :=
+                !total
+                + Fiber.suspend_external (fun resume ->
+                      Pool.submit pool ~lane:0 (fun () -> 1) resume)
+            done;
+            !total))
+  in
+  check_int "every external completion resumed its fibre" rounds total
+
 (* --- domain pool ---------------------------------------------------------- *)
 
 let test_pool_lane_serialization () =
@@ -444,6 +467,8 @@ let suite =
     Alcotest.test_case "fiber: semaphore" `Quick test_semaphore_mutual_exclusion;
     Alcotest.test_case "fiber: stream backpressure" `Quick test_stream_fifo;
     Alcotest.test_case "fiber: deadlock detection" `Quick test_deadlock_detection;
+    Alcotest.test_case "fiber: external completion loop" `Quick
+      test_external_completion_loop;
     Alcotest.test_case "fiber: scheduler stats" `Quick test_fiber_stats;
     Alcotest.test_case "fiber: poll accounting" `Quick test_fiber_poll_accounting;
     Alcotest.test_case "fiber: stream high water" `Quick test_stream_high_water;

@@ -31,6 +31,38 @@ let job_of ?(tenant = "t1") ?(priority = 0) ?deadline env (optimized : Optimized
     label = "";
   }
 
+(* A job whose plan fails to compile completes as failed at admission
+   (the TCP front end turns that into an [error] line) instead of
+   raising out of the event loop; the server keeps serving. *)
+let test_uncompilable_job_fails () =
+  let instance = Workload.fig1 () in
+  let env, optimized = optimize instance in
+  let srv = Serve.create instance.Workload.sources in
+  let bad =
+    {
+      (job_of env optimized) with
+      Serve.plan =
+        Fusion_plan.Plan.create
+          ~ops:[ Fusion_plan.Op.Union { dst = "X"; args = [ "nope" ] } ]
+          ~output:"X";
+    }
+  in
+  let bad_id = Serve.submit srv ~at:0.0 bad in
+  let good_id = Serve.submit srv ~at:0.0 (job_of env optimized) in
+  Serve.drain srv;
+  let completion id =
+    List.find (fun c -> c.Serve.c_id = id) (Serve.completions srv)
+  in
+  let failed = completion bad_id in
+  Alcotest.(check bool) "failed completion" true (failed.Serve.c_failed <> None);
+  Alcotest.(check bool) "no answer" true (failed.Serve.c_answer = None);
+  Alcotest.(check (float 0.0)) "nothing charged" 0.0 failed.Serve.c_cost;
+  Alcotest.(check bool) "the valid job is answered" true
+    ((completion good_id).Serve.c_answer <> None);
+  let s = Serve.stats srv in
+  Alcotest.(check int) "both completed" 2 s.Serve.completed;
+  Alcotest.(check bool) "conserves" true (Serve.conservation_ok s)
+
 (* --- conservation -------------------------------------------------------- *)
 
 (* submitted = queued + in_flight + completed + shed after every single
@@ -513,6 +545,8 @@ let suite =
       test_cache_no_ttl_is_inflight_only;
     Alcotest.test_case "cross-query reuse with a ttl" `Quick test_cross_query_reuse;
     Alcotest.test_case "admission control sheds" `Quick test_shedding;
+    Alcotest.test_case "uncompilable job fails at admission" `Quick
+      test_uncompilable_job_fails;
     Alcotest.test_case "fair share isolates the light tenant" `Quick
       test_fair_share_isolates_light_tenant;
     Alcotest.test_case "tenant windows and slow log" `Quick
