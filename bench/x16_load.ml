@@ -21,6 +21,7 @@ open Fusion_core
 module Workload = Fusion_workload.Workload
 module Prng = Fusion_stats.Prng
 module Serve = Fusion_serve.Server
+module Driver = Fusion_serve.Driver
 module Summary = Fusion_obs.Summary
 module Metrics = Fusion_obs.Metrics
 module Prom = Fusion_obs.Prom
@@ -56,17 +57,20 @@ let job_of ?deadline env (optimized : Optimized.t) ~tenant ~priority =
    yardstick for saturation and for the SLO. *)
 let lone_latency inst env optimized =
   let srv = Serve.create inst.Workload.sources in
+  let completions = Driver.collect srv in
   ignore (Serve.submit srv ~at:0.0 (job_of env optimized ~tenant:"solo" ~priority:0));
   Serve.drain srv;
-  match Serve.completions srv with
+  match completions () with
   | [ c ] -> c.Serve.c_response
   | _ -> failwith "x16: lone query did not complete"
 
 (* One serving run: a heavy tenant flooding at [heavy_rate] arrivals
    per unit time plus two light tenants trickling through the same
-   window, all Poisson, drained to completion. *)
+   window, all Poisson, drained to completion; the server and its
+   completions. *)
 let run_policy ~policy ~heavy_rate ~light_rate ~heavy_n ~light_n inst env optimized =
   let srv = Serve.create ~policy ~max_inflight:32 inst.Workload.sources in
+  let completions = Driver.collect srv in
   let submit_stream seed rate n tenant priority =
     let prng = Prng.create seed in
     let at = ref 0.0 in
@@ -79,19 +83,19 @@ let run_policy ~policy ~heavy_rate ~light_rate ~heavy_n ~light_n inst env optimi
   submit_stream 2 light_rate light_n "light1" 1;
   submit_stream 3 light_rate light_n "light2" 1;
   Serve.drain srv;
-  srv
+  (srv, completions ())
 
 (* Completions within the SLO, per tenant. *)
-let on_time srv ~slo tenant =
+let on_time (_, completions) ~slo tenant =
   List.length
     (List.filter
        (fun (c : Serve.completion) ->
          c.Serve.c_job.Serve.tenant = tenant && c.Serve.c_response <= slo)
-       (Serve.completions srv))
+       completions)
 
 (* compare.exe keys rows by their first cell, so the label fuses
    policy and tenant. *)
-let tenant_rows policy srv ~slo =
+let tenant_rows policy ((srv, _) as run) ~slo =
   List.map
     (fun (name, ts) ->
       let p = Summary.latency_percentiles ts.Serve.ts_summary in
@@ -100,17 +104,17 @@ let tenant_rows policy srv ~slo =
         Tables.i ts.Serve.ts_submitted;
         Tables.i ts.Serve.ts_completed;
         Tables.i ts.Serve.ts_shed;
-        Tables.i (on_time srv ~slo name);
+        Tables.i (on_time run ~slo name);
         Tables.f1 p.Summary.p50;
         Tables.f1 p.Summary.p99;
       ])
     (Serve.tenants srv)
 
 (* Share of a tenant's submissions that completed within the SLO. *)
-let on_time_rate srv ~slo name =
+let on_time_rate ((srv, _) as run) ~slo name =
   match List.assoc_opt name (Serve.tenants srv) with
   | Some ts ->
-    float_of_int (on_time srv ~slo name)
+    float_of_int (on_time run ~slo name)
     /. float_of_int (max 1 ts.Serve.ts_submitted)
   | None -> 0.0
 
@@ -151,7 +155,7 @@ let run () =
         ~header:
           [ "policy"; "light on-time %"; "light p99 / lone"; "heavy on-time %" ]
         (List.map
-           (fun (policy, srv) ->
+           (fun (policy, ((srv, _) as run)) ->
              let p99 name =
                match List.assoc_opt name (Serve.tenants srv) with
                | Some ts ->
@@ -159,14 +163,14 @@ let run () =
                | None -> 0.0
              in
              let light_rate =
-               (on_time_rate srv ~slo "light1" +. on_time_rate srv ~slo "light2")
+               (on_time_rate run ~slo "light1" +. on_time_rate run ~slo "light2")
                /. 2.0
              in
              [
                Serve.policy_name policy;
                Tables.f1 (100.0 *. light_rate);
                Tables.f2 (Float.max (p99 "light1") (p99 "light2") /. base);
-               Tables.f1 (100.0 *. on_time_rate srv ~slo "heavy");
+               Tables.f1 (100.0 *. on_time_rate run ~slo "heavy");
              ])
            runs);
       (* Offered-load sweep under FIFO with a deadline on every query:
@@ -182,11 +186,12 @@ let run () =
             "p99"; "makespan" ]
         (List.map
            (fun multiplier ->
-             let srv =
+             let srv, completions =
                let s =
                  Serve.create ~policy:Serve.Fifo ~max_inflight:32
                    inst.Workload.sources
                in
+               let completions = Driver.collect s in
                let prng = Prng.create 4 in
                let at = ref 0.0 in
                for _ = 1 to 60 do
@@ -196,7 +201,7 @@ let run () =
                       (job_of ~deadline env optimized ~tenant:"t" ~priority:0))
                done;
                Serve.drain s;
-               s
+               (s, completions ())
              in
              let stats = Serve.stats srv in
              assert (Serve.conservation_ok stats);
@@ -205,7 +210,7 @@ let run () =
                (fun (c : Serve.completion) ->
                  Summary.add summary ~cost:c.Serve.c_cost
                    ~response_time:c.Serve.c_response ())
-               (Serve.completions srv);
+               completions;
              let p = Summary.latency_percentiles summary in
              [
                Tables.f2 multiplier;

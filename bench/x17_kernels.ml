@@ -203,6 +203,7 @@ let run_macro () =
   let env = Opt_env.create instance.Workload.sources instance.Workload.query in
   let optimized = Optimizer.optimize Optimizer.Sja_plus env in
   let server = Serve.create ~policy:Serve.Fair_share ~cache_ttl:500.0 instance.Workload.sources in
+  let completions = Driver.collect server in
   let job =
     {
       Serve.plan = optimized.Optimized.plan;
@@ -236,14 +237,14 @@ let run_macro () =
       ];
       [
         "x16-style fair drain";
-        (match Serve.completions server with
+        (match completions () with
         | c :: _ -> (
           match c.Serve.c_answer with
           | Some answer -> Tables.i (Item_set.cardinal answer)
           | None -> "failed")
         | [] -> "none");
         Tables.f1
-          (List.fold_left (fun acc c -> acc +. c.Serve.c_cost) 0.0 (Serve.completions server));
+          (List.fold_left (fun acc c -> acc +. c.Serve.c_cost) 0.0 (completions ()));
         Tables.i stats.Serve.completed;
       ];
     ]

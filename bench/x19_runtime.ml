@@ -24,6 +24,7 @@ module Value = Fusion_data.Value
 module Cond = Fusion_cond.Cond
 module Source = Fusion_source.Source
 module Serve = Fusion_serve.Server
+module Driver = Fusion_serve.Driver
 module Exec = Fusion_plan.Exec
 module Exec_async = Fusion_plan.Exec_async
 module Reference = Fusion_core.Reference
@@ -111,6 +112,7 @@ let serve_batch ~domains ~expected =
     ~finally:(fun () -> Runtime.shutdown rt)
     (fun () ->
       let srv = Serve.create ~policy:Serve.Fifo ~rt sources in
+      let completions = Driver.collect srv in
       let owner = Hashtbl.create batch in
       for i = 0 to batch - 1 do
         let env, optimized = optimize sources (query_of i) in
@@ -138,7 +140,7 @@ let serve_batch ~domains ~expected =
             match (Hashtbl.find_opt owner c.Serve.c_id, c.Serve.c_answer) with
             | Some i, Some answer -> Item_set.equal answer expected.(i)
             | _ -> false)
-          (Serve.completions srv)
+          (completions ())
       in
       (s, exact, wall))
 

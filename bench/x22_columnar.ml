@@ -198,6 +198,7 @@ let run_macro () =
   let server =
     Serve.create ~policy:Serve.Fair_share ~cache_ttl:500.0 instance.Workload.sources
   in
+  let completions = Driver.collect server in
   let job =
     {
       Serve.plan;
@@ -213,7 +214,7 @@ let run_macro () =
   Serve.drain server;
   let stats = Serve.stats server in
   let drain_answer =
-    match Serve.completions server with
+    match completions () with
     | c :: _ -> (
       match c.Serve.c_answer with
       | Some answer -> Tables.i (Item_set.cardinal answer)
@@ -221,7 +222,7 @@ let run_macro () =
     | [] -> "none"
   in
   let drain_cost =
-    List.fold_left (fun acc c -> acc +. c.Serve.c_cost) 0.0 (Serve.completions server)
+    List.fold_left (fun acc c -> acc +. c.Serve.c_cost) 0.0 (completions ())
   in
 
   (* Steady state, the gated shape: a Local_select-heavy plan (the
@@ -235,12 +236,13 @@ let run_macro () =
     for _ = 1 to 3 do
       ignore (Sys.opaque_identity (f ()))
     done;
-    let s0 = Gc.quick_stat () in
+    (* [Gc.minor_words ()] is exact; [Gc.quick_stat]'s count only
+       advances once per minor collection on OCaml 5. *)
+    let w0 = Gc.minor_words () in
     for _ = 1 to rounds do
       ignore (Sys.opaque_identity (f ()))
     done;
-    let s1 = Gc.quick_stat () in
-    (s1.Gc.minor_words -. s0.Gc.minor_words) /. float_of_int rounds
+    (Gc.minor_words () -. w0) /. float_of_int rounds
   in
   let local_plan =
     Plan.create

@@ -176,7 +176,33 @@ let select_items t =
   done;
   Item_set.of_ids (Relation.intern rel) out
 
-let count_items t = Item_set.cardinal (select_items t)
+(* The counting kernel behind exact statistics: the same seen-bitmap
+   dedup as [select_items], but no hit list, no [Item_set] and no sort.
+   Only the word range between the lowest and highest set word is
+   cleared afterwards, so a warm scan allocates nothing per row. *)
+let count_items t =
+  let rel = t.rel in
+  let hit = bind rel t.node in
+  let n = Relation.cardinality rel in
+  let items = Relation.column_ids rel (Relation.merge_pos rel) in
+  ensure_seen t ((Intern.size (Relation.intern rel) + bpw - 1) / bpw);
+  let seen = t.seen in
+  let k = ref 0 and lo = ref max_int and hi = ref (-1) in
+  for i = 0 to n - 1 do
+    if hit i then begin
+      let id = Array.unsafe_get items i in
+      let w = id / bpw and bit = 1 lsl (id mod bpw) in
+      let sw = Array.unsafe_get seen w in
+      if sw land bit = 0 then begin
+        Array.unsafe_set seen w (sw lor bit);
+        incr k;
+        if w < !lo then lo := w;
+        if w > !hi then hi := w
+      end
+    end
+  done;
+  if !hi >= 0 then Array.fill seen !lo (!hi - !lo + 1) 0;
+  !k
 
 let semijoin_items t xs =
   let rel = t.rel in

@@ -45,4 +45,6 @@ val count_rows : t -> int
 (** Number of matching rows (not items). *)
 
 val count_items : t -> int
-(** Number of distinct matching items. *)
+(** Number of distinct matching items — [|sq(c, R)|] without building
+    the answer: dedups through the scratch bitmap and clears only the
+    word range it touched, so a warm scan allocates O(1) words. *)

@@ -13,7 +13,7 @@ type stats_mode = Exact | Sampled of int * Fusion_stats.Prng.t | Histogram of in
 let create ?(stats = Exact) ?universe sources query =
   let stats_of source =
     match stats with
-    | Exact -> Fusion_stats.Source_stats.exact (Source.relation source)
+    | Exact -> Source.stats source
     | Sampled (size, prng) ->
       Fusion_stats.Source_stats.sampled ~sample_size:size prng (Source.relation source)
     | Histogram buckets ->

@@ -12,14 +12,19 @@ type t = {
 }
 
 type stats_mode =
-  | Exact  (** oracle statistics (full scans) *)
+  | Exact
+      (** oracle statistics (full scans), reused across statements:
+          each source's {!Source.stats} *)
   | Sampled of int * Fusion_stats.Prng.t  (** sample size and generator *)
   | Histogram of int  (** per-attribute equi-width histograms; buckets *)
 
 val create :
   ?stats:stats_mode -> ?universe:int -> Source.t array -> Fusion_query.Query.t -> t
-(** Builds per-source statistics (default [Exact]), the estimator and
-    the Internet cost model. [universe] as in
+(** Gathers per-source statistics (default [Exact]), the estimator and
+    the Internet cost model. [Exact] reuses each source's persistent
+    {!Source.stats}, so only conditions (or relation versions) not seen
+    before cost a scan; [Sampled] and [Histogram] build fresh
+    statistics for this call. [universe] as in
     {!Fusion_cost.Estimator.create}. *)
 
 val m : t -> int

@@ -17,6 +17,8 @@ module Serve = Fusion_serve.Server
 type t = {
   cluster : Cluster.t;
   servers : Serve.t array;  (* one per shard *)
+  finished : (int, Serve.completion) Hashtbl.t array;
+      (* per shard, by shard submission id: filled by a completion hook *)
   mutable submissions : (int * int array) list;  (* fleet id -> per-shard ids, newest first *)
   mutable seq : int;
 }
@@ -31,7 +33,15 @@ let create ?policy ?max_inflight ?cache_ttl ?exec_policy cluster =
         Serve.create ?policy ?max_inflight ?cache_ttl ?exec_policy
           ~shard:("s" ^ string_of_int shard) sources)
   in
-  { cluster; servers; submissions = []; seq = 0 }
+  let finished =
+    Array.map
+      (fun server ->
+        let tbl = Hashtbl.create 16 in
+        Serve.on_complete server (fun c -> Hashtbl.replace tbl c.Serve.c_id c);
+        tbl)
+      servers
+  in
+  { cluster; servers; finished; submissions = []; seq = 0 }
 
 let cluster t = t.cluster
 let server t shard = t.servers.(shard)
@@ -72,13 +82,11 @@ type outcome = {
 }
 
 let outcomes t =
-  let completion_of server sid =
-    List.find_opt (fun c -> c.Serve.c_id = sid) (Serve.completions server)
-  in
   List.rev_map
     (fun (id, per_shard) ->
       let completions =
-        Array.to_list (Array.mapi (fun shard sid -> completion_of t.servers.(shard) sid) per_shard)
+        Array.to_list
+          (Array.mapi (fun shard sid -> Hashtbl.find_opt t.finished.(shard) sid) per_shard)
       in
       match
         List.for_all Option.is_some completions, List.filter_map Fun.id completions

@@ -381,21 +381,7 @@ let pp_report ppf r =
 module Server = struct
   module S = Fusion_serve.Server
 
-  type submission = { query : Fusion_query.Query.t; optimized : Optimized.t }
-
-  type nonrec t = {
-    med : t;
-    config : Config.t;
-    srv : S.t;
-    index : (int, submission) Hashtbl.t;
-  }
-
-  type outcome = {
-    o_id : int;
-    o_query : Fusion_query.Query.t;
-    o_optimized : Optimized.t;
-    o_completion : S.completion;
-  }
+  type nonrec t = { med : t; config : Config.t; srv : S.t }
 
   let create ?(config = Config.default) ?(policy = S.Fifo) ?(max_inflight = 64)
       ?cache_ttl ?versioned_cache ?window ?slow_log med =
@@ -408,7 +394,6 @@ module Server = struct
       srv =
         S.create ~policy ~max_inflight ?cache_ttl ?versioned_cache
           ~exec_policy:(Config.policy config) ?window ?slow_log ~rt med.sources;
-      index = Hashtbl.create 32;
     }
 
   let serve t = t.srv
@@ -433,9 +418,7 @@ module Server = struct
           label;
         }
       in
-      let id = S.submit t.srv ~at job in
-      Hashtbl.replace t.index id { query; optimized };
-      Ok id
+      Ok (S.submit t.srv ~at job)
 
   let submit_sql t ~at ?tenant ?priority ?deadline text =
     match Fusion_query.Sql.parse_fusion ~schema:(schema t.med) ~union:t.med.union text with
@@ -483,19 +466,4 @@ module Server = struct
   let stats t = S.stats t.srv
   let runtime t = S.runtime t.srv
   let shutdown t = Runtime.shutdown (S.runtime t.srv)
-
-  let outcomes t =
-    List.filter_map
-      (fun (c : S.completion) ->
-        match Hashtbl.find_opt t.index c.S.c_id with
-        | Some sub ->
-          Some
-            {
-              o_id = c.S.c_id;
-              o_query = sub.query;
-              o_optimized = sub.optimized;
-              o_completion = c;
-            }
-        | None -> None)
-      (S.completions t.srv)
 end

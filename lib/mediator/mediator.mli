@@ -190,13 +190,6 @@ module Server : sig
 
   type t
 
-  type outcome = {
-    o_id : int;
-    o_query : Fusion_query.Query.t;
-    o_optimized : Optimized.t;  (** plan and estimate chosen at submit time *)
-    o_completion : Fusion_serve.Server.completion;
-  }
-
   val create :
     ?config:Config.t ->
     ?policy:Fusion_serve.Server.policy ->
@@ -222,7 +215,10 @@ module Server : sig
     Fusion_query.Query.t ->
     (int, string) result
   (** Optimizes the query and enqueues it at simulated instant [at];
-      returns the submission id. [tenant] defaults to ["default"],
+      returns the submission id. The result arrives through the
+      underlying server's {!Fusion_serve.Server.on_complete} hooks
+      (the completion's [c_job] carries the chosen plan and estimate);
+      nothing is kept per submission. [tenant] defaults to ["default"],
       [priority] to 0. [label] is carried into the slow-query log
       ({!submit_sql} passes the SQL text). *)
 
@@ -276,10 +272,6 @@ module Server : sig
   val shutdown : t -> unit
   (** Joins the runtime's worker domains (no-op on the simulator).
       Call after the final {!drain}. *)
-
-  val outcomes : t -> outcome list
-  (** Completed submissions joined with what the optimizer chose for
-      them, in completion order. *)
 
   val serve : t -> Fusion_serve.Server.t
   (** The underlying server, for timelines, tenant stats, sheds, and

@@ -165,13 +165,31 @@ let find t ~source ~cond ?version ~ready () =
 let note t ~source ~cond ~finish ?(version = 0) answer =
   Hashtbl.replace t.table (key t ~source ~cond) { finish; answer; version }
 
+(* A completed entry no later [find] can return: without versioning,
+   only the TTL window replays a completed answer, and without a TTL
+   nothing does. *)
+let dead t ~now e =
+  e.finish <= now
+  && (not t.versioned)
+  && match t.ttl with None -> true | Some ttl -> now -. e.finish > ttl
+
 let apply_delta t ~source ~now ~version ~patch =
   let sid = Intern.intern t.keys (Value.String source) in
-  let hits =
+  (* Dead entries of every source go first: they would only be patched
+     for nothing (re-parsing their conditions) and pile up otherwise. *)
+  let dead_keys, hits =
     Hashtbl.fold
-      (fun ((s, _) as key) e acc -> if s = sid then (key, e) :: acc else acc)
-      t.table []
+      (fun ((s, _) as key) e (dead_keys, hits) ->
+        if dead t ~now e then (key :: dead_keys, hits)
+        else if s = sid then (dead_keys, (key, e) :: hits)
+        else (dead_keys, hits))
+      t.table ([], [])
   in
+  List.iter
+    (fun key ->
+      t.expirations <- t.expirations + 1;
+      Hashtbl.remove t.table key)
+    dead_keys;
   List.iter
     (fun (((_, cid) as key), e) ->
       if e.finish > now then begin

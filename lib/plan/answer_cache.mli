@@ -40,7 +40,9 @@ type stats = {
   lookups : int;
   inflight_hits : int;
   cached_hits : int;
-  expirations : int;  (** entries found but older than the TTL *)
+  expirations : int;
+      (** entries dropped because no lookup could replay them any more:
+          found older than the TTL, or swept by {!apply_delta} *)
   invalidated : int;
       (** entries dropped by a delta ({!apply_delta}) or by a versioned
           lookup that caught a stale entry *)
@@ -83,12 +85,15 @@ val apply_delta :
   patch:(cond:string -> Item_set.t -> Item_set.t option) ->
   unit
 (** A delta landed on [source], whose relation is now at [version].
-    Every completed entry for that source is handed to [patch] (with
-    its condition text): [Some answer'] replaces the answer in place
-    and stamps the new version (the patch is expected to cost
-    O(delta)); [None] invalidates. Entries still in flight at [now] are
-    always invalidated — their pending answers reflect the pre-delta
-    base. *)
+    First, every entry (of any source) that no {!find} from [now] on
+    could return is dropped and counted as an expiration: a completed
+    entry in a cache with neither versioning nor a TTL, or one past its
+    TTL. Every remaining completed entry for [source] is handed to
+    [patch] (with its condition text): [Some answer'] replaces the
+    answer in place and stamps the new version (the patch is expected
+    to cost O(delta)); [None] invalidates. Entries still in flight at
+    [now] are always invalidated — their pending answers reflect the
+    pre-delta base. *)
 
 val publish_metrics : t -> unit
 (** Flush counter deltas since the last call to the installed

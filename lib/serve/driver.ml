@@ -39,3 +39,8 @@ let closed_loop server ~clients ~think ~count make_job =
     incr issued;
     ignore (Server.submit server ~at:0.0 (make_job i))
   done
+
+let collect server =
+  let got = ref [] in
+  Server.on_complete server (fun c -> got := c :: !got);
+  fun () -> List.rev !got

@@ -24,3 +24,9 @@ val closed_loop :
     population. A shed submission ends its client's stream, so pick
     [clients <= max_inflight] and leave deadlines off for a classic
     closed loop. *)
+
+val collect : Server.t -> unit -> Server.completion list
+(** [collect server] registers a completion hook that keeps every
+    completion from now on; the returned function lists them in
+    completion order. For batch runs and tests that inspect their
+    completions afterwards — the server itself keeps none. *)

@@ -190,8 +190,12 @@ type t = {
   mutable task_offset : int;
   mutable queue : pending list; (* sorted by (arrival, id) *)
   mutable inflight : active list; (* in admission order *)
-  mutable completions : completion list; (* newest first *)
-  mutable sheds : shed list; (* newest first *)
+  (* Finished jobs are counted, not kept: their records reach callers
+     only through the hooks, so a long-running server holds nothing per
+     answered statement. *)
+  mutable completed : int;
+  mutable shed_queue_full : int;
+  mutable shed_deadline : int;
   tenants : (string, tenant) Hashtbl.t;
   mutable hooks : (completion -> unit) list;
   mutable shed_hooks : (shed -> unit) list;
@@ -229,8 +233,9 @@ let create ?(policy = Fifo) ?(max_inflight = 64) ?cache_ttl ?(versioned_cache = 
     task_offset = 0;
     queue = [];
     inflight = [];
-    completions = [];
-    sheds = [];
+    completed = 0;
+    shed_queue_full = 0;
+    shed_deadline = 0;
     tenants = Hashtbl.create 8;
     hooks = [];
     shed_hooks = [];
@@ -336,20 +341,17 @@ let stats t =
     submitted = t.seq;
     queued = List.length t.queue;
     in_flight = List.length t.inflight;
-    completed = List.length t.completions;
-    shed = List.length t.sheds;
+    completed = t.completed;
+    shed = t.shed_queue_full + t.shed_deadline;
   }
 
 let conservation_ok s = s.submitted = s.queued + s.in_flight + s.completed + s.shed
 
-let completions t = List.rev t.completions
-let sheds t = List.rev t.sheds
-
-(* Books a finished job: completion list, tenant accounting, slow log,
-   metrics, hooks. *)
+(* Books a finished job: completion count, tenant accounting, slow
+   log, metrics, hooks. *)
 let complete t c =
   t.now <- Float.max t.now c.c_finished;
-  t.completions <- c :: t.completions;
+  t.completed <- t.completed + 1;
   let job = c.c_job in
   let tn = tenant t job.tenant in
   tn.tn_completed <- tn.tn_completed + 1;
@@ -411,7 +413,9 @@ let settle t =
 let shed t p reason =
   t.now <- Float.max t.now p.p_at;
   let s = { s_id = p.p_id; s_job = p.p_job; s_at = p.p_at; s_reason = reason } in
-  t.sheds <- s :: t.sheds;
+  (match reason with
+  | Queue_full -> t.shed_queue_full <- t.shed_queue_full + 1
+  | Deadline_unmeetable -> t.shed_deadline <- t.shed_deadline + 1);
   let tn = tenant t p.p_job.tenant in
   tn.tn_shed <- tn.tn_shed + 1;
   Metrics.record (fun r ->
@@ -584,13 +588,7 @@ let drain t =
     Runtime.run t.rt (fun () -> pump t ~stop:(fun () -> true))
   else while step t do () done
 
-let shed_counts t =
-  List.fold_left
-    (fun (qf, du) s ->
-      match s.s_reason with
-      | Queue_full -> (qf + 1, du)
-      | Deadline_unmeetable -> (qf, du + 1))
-    (0, 0) t.sheds
+let shed_counts t = (t.shed_queue_full, t.shed_deadline)
 
 (* ---------- standing queries and source deltas ---------- *)
 

@@ -198,11 +198,15 @@ val nudge : t -> unit
 
 val on_complete : t -> (completion -> unit) -> unit
 (** Hooks run at each completion, in registration order — a
-    closed-loop driver submits the next query from here. *)
+    closed-loop driver submits the next query from here. The hooks are
+    the only way to a completion record: the server counts finished
+    jobs but keeps none of them (see {!Driver.collect} for batch
+    callers that want the list). *)
 
 val on_shed : t -> (shed -> unit) -> unit
 (** Hooks run at each shed, in registration order — a front end
-    reports the rejection to the submitting client from here. *)
+    reports the rejection to the submitting client from here. Like
+    completions, sheds are counted, not kept. *)
 
 (** {1 Standing queries and source deltas}
 
@@ -249,10 +253,6 @@ val stats : t -> stats
 val conservation_ok : stats -> bool
 (** [submitted = queued + in_flight + completed + shed]. *)
 
-val completions : t -> completion list
-(** In completion order. *)
-
-val sheds : t -> shed list
 val tenants : t -> (string * tenant_stats) list
 (** Sorted by tenant name. *)
 

@@ -19,6 +19,9 @@ type t = {
       (* compiled column scans, one per distinct condition seen *)
   preds : (Cond.t, Tuple.t -> bool) Hashtbl.t;
       (* hoisted row predicates for the per-item emulated path *)
+  stats : Fusion_stats.Source_stats.t;
+      (* exact statistics, kept across statements; built here, not on
+         first use, because [Lazy] is not domain-safe *)
 }
 
 let create ?(capability = Capability.full) ?(profile = Fusion_net.Profile.default) ?fault
@@ -31,6 +34,7 @@ let create ?(capability = Capability.full) ?(profile = Fusion_net.Profile.defaul
     fault;
     vecs = Hashtbl.create 8;
     preds = Hashtbl.create 8;
+    stats = Fusion_stats.Source_stats.exact relation;
   }
 
 let set_fault t fault = t.fault <- fault
@@ -40,6 +44,7 @@ let relation t = t.relation
 let schema t = Relation.schema t.relation
 let capability t = t.capability
 let profile t = t.profile
+let stats t = t.stats
 
 let charge t ~items_sent ~items_received ~tuples_received =
   Fusion_net.Meter.record t.meter t.profile ~items_sent ~items_received ~tuples_received

@@ -41,6 +41,13 @@ val schema : t -> Schema.t
 val capability : t -> Capability.t
 val profile : t -> Fusion_net.Profile.t
 
+val stats : t -> Fusion_stats.Source_stats.t
+(** The source's exact statistics ({!Fusion_stats.Source_stats.exact}
+    over its relation), created with the source and shared by every
+    statement optimized over it: counts are memoized until the
+    relation's version changes, so they always equal a fresh scan's.
+    Safe to consult from several domains at once. *)
+
 val select_query : t -> Cond.t -> Item_set.t * float
 (** [sq(c, R)]: items of [R] with a tuple satisfying [c], and the actual
     cost charged. *)

@@ -9,23 +9,39 @@ type provider =
 type t = {
   relation : Relation.t;
   mutable provider : provider;
-  memo : (string, float) Hashtbl.t;
+  memo : (Cond.t, float) Hashtbl.t;
+  vecs : (Cond.t, Cond_vec.t) Hashtbl.t;
+      (* the exact provider's compiled scans: private to these statistics
+         (a source's own scans belong to its request lane) and valid
+         across relation versions *)
+  lock : Mutex.t;  (* guards every mutable field above and the scans' scratch *)
   mutable version : int;  (* relation version the memo/provider reflect *)
   rebuild : Relation.t -> provider;  (* how to refresh the provider *)
 }
+
+(* Both tables are flushed whole when they reach this many conditions,
+   so a server that never sees a statement twice holds bounded state. *)
+let capacity = 1024
 
 let make relation rebuild =
   {
     relation;
     provider = rebuild relation;
     memo = Hashtbl.create 8;
+    vecs = Hashtbl.create 8;
+    lock = Mutex.create ();
     version = Relation.version relation;
     rebuild;
   }
 
+let add_bounded tbl key v =
+  if Hashtbl.length tbl >= capacity then Hashtbl.reset tbl;
+  Hashtbl.add tbl key v
+
 (* Estimates must track a mutable relation: on version change, drop the
    memo and rebuild sampled/histogram providers. Sampling again after
-   growth is what a periodically refreshing mediator would do. *)
+   growth is what a periodically refreshing mediator would do. The
+   compiled scans survive: they re-read the columns on every scan. *)
 let ensure_fresh t =
   if Relation.version t.relation <> t.version then begin
     Hashtbl.reset t.memo;
@@ -126,9 +142,17 @@ let histogram_matching tables ~distinct ~fallback cond =
   in
   Float.min distinct (Float.max 0.0 (weight cond))
 
+let vec t cond =
+  match Hashtbl.find_opt t.vecs cond with
+  | Some v -> v
+  | None ->
+    let v = Cond_vec.compile t.relation cond in
+    add_bounded t.vecs cond v;
+    v
+
 let compute_matching t cond =
   match t.provider with
-  | Exact -> float_of_int (Cond_vec.count_items (Cond_vec.compile t.relation cond))
+  | Exact -> float_of_int (Cond_vec.count_items (vec t cond))
   | Histograms tables ->
     let distinct = float_of_int (Relation.distinct_item_count t.relation) in
     let fallback = float_of_int (Relation.cardinality t.relation) in
@@ -147,14 +171,14 @@ let compute_matching t cond =
     end
 
 let matching_items t cond =
-  ensure_fresh t;
-  let key = Cond.to_string cond in
-  match Hashtbl.find_opt t.memo key with
-  | Some v -> v
-  | None ->
-    let v = compute_matching t cond in
-    Hashtbl.add t.memo key v;
-    v
+  Mutex.protect t.lock (fun () ->
+      ensure_fresh t;
+      match Hashtbl.find_opt t.memo cond with
+      | Some v -> v
+      | None ->
+        let v = compute_matching t cond in
+        add_bounded t.memo cond v;
+        v)
 
 let item_selectivity t cond =
   let d = distinct_items t in

@@ -6,7 +6,26 @@
     same interface: an exact oracle (full scan — the best possible
     statistics) and a sampling estimator (a fixed-size uniform sample of
     the source's tuples, as an autonomous Internet source would realistically
-    allow). Estimates are memoized per condition. *)
+    allow).
+
+    {b Memo lifetime.} Estimates are memoized per condition, keyed
+    structurally on {!Cond.t}. A value lives as long as its relation
+    version: every lookup first compares {!Relation.version} with the
+    version the memo reflects and, on a change, drops the whole memo
+    (and re-samples or rebuilds histograms). So a value can outlive the
+    statement that computed it — {!Fusion_source.Source} keeps one
+    exact provider per source for every statement over it — and still
+    equal what a fresh provider would compute now. The exact provider
+    counts with compiled {!Cond_vec} scans of its own, one per
+    condition, which stay valid across versions. Both tables are
+    flushed whole when they hold 1024 conditions, which bounds a
+    server that never sees a condition twice.
+
+    {b Domains.} A mutex guards the memo, the provider and the scans'
+    scratch, so several domains may estimate over one provider at once;
+    scans of one provider serialize. Mutating the relation concurrently
+    with an estimate is not supported (the estimate may reflect either
+    state, or a torn one). *)
 
 open Fusion_data
 open Fusion_cond

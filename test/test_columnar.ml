@@ -352,10 +352,42 @@ let compiled_tracks_deltas =
         done;
         !ok)
 
+(* The statistics kernel counts without building the answer: once the
+   scan is warm (scratch grown, dictionary classes evaluated) a count
+   allocates a constant handful of words — the binding closures — and
+   nothing per row or per item. *)
+let test_count_items_allocates_constant () =
+  let rel =
+    Helpers.abc_relation
+      (List.init 5000 (fun i ->
+           Helpers.abc_row (Printf.sprintf "k%04d" (i mod 2500)) (i mod 100) "x"))
+  in
+  let cond =
+    Cond.And (Cond.Cmp ("A", Cond.Lt, Value.Int 60), Cond.Prefix ("B", "x"))
+  in
+  let vec = Cond_vec.compile rel cond in
+  let expected = Item_set.cardinal (Cond_vec.select_items vec) in
+  Alcotest.(check int) "cold count" expected (Cond_vec.count_items vec);
+  (* Minor plus direct major allocation: an answer-sized array would
+     bypass the minor heap. *)
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = allocated () in
+  let n = Cond_vec.count_items vec in
+  let words = allocated () -. w0 in
+  Alcotest.(check int) "warm count" expected n;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words allocated for %d matching items" words expected)
+    true (words < 64.0)
+
 let suite =
   [
     relation_matches_ref;
     cond_vec_matches_eval;
+    Alcotest.test_case "count_items allocates O(1) on a warm scan" `Quick
+      test_count_items_allocates_constant;
     compiled_equals_interpreted;
     compiled_cache_protocol;
     compiled_tracks_deltas;

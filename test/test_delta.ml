@@ -293,6 +293,70 @@ let incremental_equals_full =
       done;
       !ok)
 
+(* --- persistent optimizer statistics -------------------------------------- *)
+
+(* Exact statistics live with the source and survive across statements,
+   so a delta must invalidate them: every count, every estimate and the
+   chosen plan stay those of a fresh full scan. Rounds interleave random
+   insert/delete batches with optimizations; a third of them mutate
+   nothing, so the memo's hit path is exercised as well. *)
+let fresh_env (instance : Workload.instance) =
+  let sources = instance.Workload.sources in
+  let est =
+    Fusion_cost.Estimator.create
+      (Array.to_list
+         (Array.map
+            (fun s -> (s, Fusion_stats.Source_stats.exact (Source.relation s)))
+            sources))
+  in
+  {
+    Opt_env.sources;
+    conds = Query.conditions instance.Workload.query;
+    model = Fusion_cost.Model.internet est;
+    est;
+  }
+
+let persistent_stats_equal_fresh =
+  Helpers.qtest ~count:40 "persistent statistics ≡ fresh statistics under deltas"
+    QCheck2.Gen.(pair Helpers.spec_gen (int_range 1 5))
+    (fun (spec, rounds) -> Printf.sprintf "%d rounds, %s" rounds (Helpers.spec_print spec))
+    (fun (spec, rounds) ->
+      let module Source_stats = Fusion_stats.Source_stats in
+      let instance = Workload.generate spec in
+      let sources = instance.Workload.sources in
+      let conds = Query.conditions instance.Workload.query in
+      let agree () =
+        let counts_agree s =
+          let fresh = Source_stats.exact (Source.relation s) in
+          Array.for_all
+            (fun c ->
+              Float.equal
+                (Source_stats.matching_items (Source.stats s) c)
+                (Source_stats.matching_items fresh c))
+            conds
+        in
+        let kept =
+          Optimizer.optimize Optimizer.Sja_plus
+            (Opt_env.create sources instance.Workload.query)
+        in
+        let fresh = Optimizer.optimize Optimizer.Sja_plus (fresh_env instance) in
+        Array.for_all counts_agree sources
+        && Fusion_plan.Plan.ops kept.Optimized.plan = Fusion_plan.Plan.ops fresh.Optimized.plan
+        && Fusion_plan.Plan.output kept.Optimized.plan
+           = Fusion_plan.Plan.output fresh.Optimized.plan
+        && Float.equal kept.Optimized.est_cost fresh.Optimized.est_cost
+      in
+      let prng = Prng.create (spec.Workload.seed + 57) in
+      let ok = ref (agree ()) in
+      for _round = 1 to rounds do
+        if Prng.int prng 3 > 0 then begin
+          let rel = Source.relation sources.(Prng.int prng (Array.length sources)) in
+          ignore (Delta.apply rel (random_delta prng instance rel) : Delta.applied)
+        end;
+        ok := !ok && agree ()
+      done;
+      !ok)
+
 (* --- the version-vector answer cache ------------------------------------- *)
 
 let test_versioned_cache () =
@@ -471,13 +535,14 @@ let test_server_cache_after_mutation () =
     }
   in
   let srv = Serve.create ~versioned_cache:true instance.Workload.sources in
+  let completions = Fusion_serve.Driver.collect srv in
   ignore (Serve.submit srv ~at:0.0 job);
   Serve.drain srv;
   let delta = Delta.make ~inserts:[ matching_row instance "Zfresh" ] ~deletes:[] in
   ignore (Helpers.check_ok (Serve.mutate srv ~source:"R1" delta));
   ignore (Serve.submit srv ~at:(Serve.now srv +. 1.0) job);
   Serve.drain srv;
-  (match Serve.completions srv with
+  (match completions () with
   | [ first; second ] ->
     let answer c = Option.get c.Serve.c_answer in
     Alcotest.(check bool) "second run sees the new item" true
@@ -488,6 +553,41 @@ let test_server_cache_after_mutation () =
   let cs = Serve.cache_stats srv in
   Alcotest.(check bool) "cache saw delta maintenance" true
     (cs.Answer_cache.patched + cs.Answer_cache.invalidated > 0)
+
+(* Without a TTL and without versioning a completed entry can never be
+   served again, so a delta drops such entries instead of patching them
+   (which re-parses each condition on the push path), and they do not
+   pile up. *)
+let test_server_cache_drops_dead_entries () =
+  let instance = Workload.generate small_spec in
+  let env = Opt_env.create instance.Workload.sources instance.Workload.query in
+  let optimized = Optimizer.optimize Optimizer.Sja_plus env in
+  let job =
+    {
+      Serve.plan = optimized.Optimized.plan;
+      conds = env.Opt_env.conds;
+      tenant = "t1";
+      priority = 0;
+      est_cost = optimized.Optimized.est_cost;
+      deadline = None;
+      label = "";
+    }
+  in
+  let srv = Serve.create instance.Workload.sources in
+  ignore (Serve.submit srv ~at:0.0 job);
+  Serve.drain srv;
+  let mutate item =
+    let delta = Delta.make ~inserts:[ matching_row instance item ] ~deletes:[] in
+    ignore (Helpers.check_ok (Serve.mutate srv ~source:"R1" delta))
+  in
+  mutate "Zfresh";
+  let cs = Serve.cache_stats srv in
+  Alcotest.(check int) "nothing patched" 0 cs.Answer_cache.patched;
+  Alcotest.(check int) "nothing invalidated" 0 cs.Answer_cache.invalidated;
+  Alcotest.(check bool) "dead entries dropped" true (cs.Answer_cache.expirations > 0);
+  mutate "Zfresher";
+  Alcotest.(check int) "nothing left to drop" cs.Answer_cache.expirations
+    (Serve.cache_stats srv).Answer_cache.expirations
 
 let test_mediator_subscribe_sql () =
   let instance = Workload.generate small_spec in
@@ -559,12 +659,15 @@ let suite =
     Alcotest.test_case "delta apply" `Quick test_delta_apply;
     rules_prop;
     incremental_equals_full;
+    persistent_stats_equal_fresh;
     Alcotest.test_case "versioned answer cache" `Quick test_versioned_cache;
     Alcotest.test_case "cache apply_delta" `Quick test_cache_apply_delta;
     Alcotest.test_case "cache publish_metrics" `Quick test_cache_publish_metrics;
     Alcotest.test_case "server subscribe and push" `Quick test_server_subscribe_push;
     Alcotest.test_case "versioned cache after mutation" `Quick
       test_server_cache_after_mutation;
+    Alcotest.test_case "unversioned cache drops dead entries" `Quick
+      test_server_cache_drops_dead_entries;
     Alcotest.test_case "mediator subscribe_sql and mutate_line" `Quick
       test_mediator_subscribe_sql;
     Alcotest.test_case "delta metrics" `Quick test_delta_metrics;

@@ -249,8 +249,48 @@ let test_optimizer_names () =
     Optimizer.all;
   ignore (Helpers.check_err "unknown" (Optimizer.of_name "magic"))
 
+(* -- Shared statistics: exact statistics belong to the source and
+   outlive the statement, so domains optimizing at once share them. Two
+   domains walking the same statements (in opposite orders) must choose
+   exactly what a sequential run over a fresh copy of the world
+   chooses. *)
+
+let test_statistics_shared_across_domains () =
+  let spec = { Workload.default_spec with Workload.seed = 41; n_sources = 5 } in
+  let statements (instance : Workload.instance) =
+    let conds = Array.to_list (Fusion_query.Query.conditions instance.Workload.query) in
+    List.init 24 (fun i ->
+        Fusion_query.Query.create_exn
+          (List.map
+             (function
+               | Fusion_cond.Cond.Cmp (a, op, Value.Int v) ->
+                 Fusion_cond.Cond.Cmp (a, op, Value.Int (v + (37 * i)))
+               | c -> c)
+             conds))
+  in
+  let choose sources query =
+    let o = Optimizer.optimize Optimizer.Sja_plus (Opt_env.create sources query) in
+    (Plan.ops o.Optimized.plan, Plan.output o.Optimized.plan, o.Optimized.est_cost)
+  in
+  let sequential =
+    let instance = Workload.generate spec in
+    List.map (choose instance.Workload.sources) (statements instance)
+  in
+  let shared = Workload.generate spec in
+  let stmts = statements shared in
+  let forward = Domain.spawn (fun () -> List.map (choose shared.Workload.sources) stmts) in
+  let backward =
+    Domain.spawn (fun () ->
+        List.rev (List.map (choose shared.Workload.sources) (List.rev stmts)))
+  in
+  let forward = Domain.join forward and backward = Domain.join backward in
+  Alcotest.(check bool) "forward domain = sequential" true (forward = sequential);
+  Alcotest.(check bool) "backward domain = sequential" true (backward = sequential)
+
 let suite =
   [
+    Alcotest.test_case "statistics shared across domains" `Quick
+      test_statistics_shared_across_domains;
     qcheck_soundness Optimizer.Filter;
     qcheck_soundness Optimizer.Sj;
     qcheck_soundness Optimizer.Sja;

@@ -38,6 +38,7 @@ let test_uncompilable_job_fails () =
   let instance = Workload.fig1 () in
   let env, optimized = optimize instance in
   let srv = Serve.create instance.Workload.sources in
+  let completions = Driver.collect srv in
   let bad =
     {
       (job_of env optimized) with
@@ -51,7 +52,7 @@ let test_uncompilable_job_fails () =
   let good_id = Serve.submit srv ~at:0.0 (job_of env optimized) in
   Serve.drain srv;
   let completion id =
-    List.find (fun c -> c.Serve.c_id = id) (Serve.completions srv)
+    List.find (fun c -> c.Serve.c_id = id) (completions ())
   in
   let failed = completion bad_id in
   Alcotest.(check bool) "failed completion" true (failed.Serve.c_failed <> None);
@@ -173,19 +174,19 @@ let equivalence_prop =
         Helpers.check_ok (Mediator.create (Array.to_list served.Workload.sources))
       in
       let srv = Mediator.Server.create ~config ~policy:Serve.Fifo med in
+      let completions = Driver.collect (Mediator.Server.serve srv) in
       (match Mediator.Server.submit srv ~at:0.0 served.Workload.query with
       | Ok _ -> ()
       | Error msg -> Alcotest.failf "submit failed: %s" msg);
       Mediator.Server.drain srv;
-      match Mediator.Server.outcomes srv with
-      | [ o ] ->
-        let c = o.Mediator.Server.o_completion in
+      match completions () with
+      | [ c ] ->
         Item_set.equal report.Mediator.answer (Option.get c.Serve.c_answer)
         && Float.equal report.Mediator.actual_cost c.Serve.c_cost
         && Float.equal report.Mediator.response_time c.Serve.c_response
         && report.Mediator.partial = c.Serve.c_partial
         && report.Mediator.steps = Exec_async.to_exec_steps c.Serve.c_steps
-      | other -> Alcotest.failf "expected 1 outcome, got %d" (List.length other))
+      | other -> Alcotest.failf "expected 1 completion, got %d" (List.length other))
 
 (* --- answer cache -------------------------------------------------------- *)
 
@@ -247,6 +248,7 @@ let test_cross_query_reuse () =
   let env, optimized = optimize instance in
   let run ~cache_ttl =
     let srv = Serve.create ~policy:Serve.Fifo ?cache_ttl instance.Workload.sources in
+    let completions = Driver.collect srv in
     for i = 0 to 4 do
       ignore
         (Serve.submit srv
@@ -254,34 +256,39 @@ let test_cross_query_reuse () =
            (job_of env optimized))
     done;
     Serve.drain srv;
-    srv
+    (srv, completions ())
   in
-  let without = run ~cache_ttl:None in
-  let with_ttl = run ~cache_ttl:(Some 1e9) in
+  let without, without_done = run ~cache_ttl:None in
+  let with_ttl, with_ttl_done = run ~cache_ttl:(Some 1e9) in
   Alcotest.(check int) "no replay without a ttl" 0
     (Serve.cache_stats without).Answer_cache.cached_hits;
   Alcotest.(check bool) "replays with a ttl" true
     ((Serve.cache_stats with_ttl).Answer_cache.cached_hits > 0);
   (* Replayed queries do the same job for less total service cost. *)
-  let total srv =
+  let total =
     List.fold_left (fun acc (c : Serve.completion) -> acc +. c.Serve.c_cost) 0.0
-      (Serve.completions srv)
   in
-  Alcotest.(check bool) "cache saves work" true (total with_ttl < total without);
+  Alcotest.(check bool) "cache saves work" true (total with_ttl_done < total without_done);
   List.iter
     (fun (c : Serve.completion) ->
       Alcotest.check Helpers.item_set "cached answers are the real answers"
         (Fusion_core.Reference.answer_query ~sources:instance.Workload.sources
            instance.Workload.query)
         (Option.get c.Serve.c_answer))
-    (Serve.completions with_ttl)
+    with_ttl_done
 
 (* --- admission control --------------------------------------------------- *)
+
+let collect_sheds srv =
+  let got = ref [] in
+  Serve.on_shed srv (fun sh -> got := sh :: !got);
+  fun () -> List.rev !got
 
 let test_shedding () =
   let instance = Workload.generate { Workload.default_spec with seed = 9 } in
   let env, optimized = optimize instance in
   let srv = Serve.create ~policy:Serve.Fifo ~max_inflight:2 instance.Workload.sources in
+  let sheds = collect_sheds srv in
   (* A burst at t=0: the cap admits 2, sheds the rest at admission. *)
   for _ = 1 to 6 do
     ignore (Serve.submit srv ~at:0.0 (job_of env optimized))
@@ -295,14 +302,18 @@ let test_shedding () =
     (fun (sh : Serve.shed) ->
       Alcotest.(check string) "reason" "queue_full"
         (Serve.shed_reason_name sh.Serve.s_reason))
-    (Serve.sheds srv);
+    (sheds ());
+  Alcotest.(check int) "every shed reached the hook" s.Serve.shed (List.length (sheds ()));
+  Alcotest.(check (pair int int)) "shed counts by reason" (s.Serve.shed, 0)
+    (Serve.shed_counts srv);
   (* An impossible deadline is refused up front. *)
   let srv2 = Serve.create ~policy:Serve.Fifo instance.Workload.sources in
+  let sheds2 = collect_sheds srv2 in
   ignore
     (Serve.submit srv2 ~at:0.0
        (job_of ~deadline:(optimized.Optimized.est_cost /. 1e6) env optimized));
   Serve.drain srv2;
-  match Serve.sheds srv2 with
+  match sheds2 () with
   | [ sh ] ->
     Alcotest.(check string) "deadline shed" "deadline_unmeetable"
       (Serve.shed_reason_name sh.Serve.s_reason)
@@ -320,6 +331,7 @@ let test_fair_share_isolates_light_tenant () =
     let instance = Workload.generate spec in
     let env, optimized = optimize instance in
     let srv = Serve.create ~policy ~max_inflight:64 instance.Workload.sources in
+    let completions = Driver.collect srv in
     let est = Float.max 1.0 optimized.Optimized.est_cost in
     (* Heavy: 24 jobs arriving every est/4 — 4x oversubscribed. *)
     for i = 0 to 23 do
@@ -340,7 +352,7 @@ let test_fair_share_isolates_light_tenant () =
       let mine =
         List.filter
           (fun (c : Serve.completion) -> c.Serve.c_job.Serve.tenant = tenant)
-          (Serve.completions srv)
+          (completions ())
       in
       List.fold_left (fun acc (c : Serve.completion) -> acc +. c.Serve.c_response) 0.0
         mine
@@ -486,6 +498,7 @@ let test_serve_on_domains () =
     ~finally:(fun () -> Runtime.shutdown rt)
     (fun () ->
       let srv = Serve.create ~policy:Serve.Fifo ~rt instance.Workload.sources in
+      let collected = Driver.collect srv in
       for i = 0 to 4 do
         ignore
           (Serve.submit srv ~at:(float_of_int i)
@@ -495,7 +508,7 @@ let test_serve_on_domains () =
       let s = Serve.stats srv in
       Alcotest.(check int) "all complete" 5 s.Serve.completed;
       Alcotest.(check bool) "conserves" true (Serve.conservation_ok s);
-      let completions = Serve.completions srv in
+      let completions = collected () in
       Alcotest.(check int) "five completions" 5 (List.length completions);
       List.iter
         (fun (c : Serve.completion) ->
@@ -505,6 +518,47 @@ let test_serve_on_domains () =
               (Item_set.equal expected.Fusion_plan.Exec.answer a)
           | None -> Alcotest.fail "query failed on the domains runtime")
         completions)
+
+(* A long-running server holds nothing per answered statement: results
+   leave through the completion hook. The same statement is served K
+   and then 10·K times behind a TTL cache that answers every selection
+   after the first (a FILTER plan issues selections only), so the
+   runtime books no further requests; what may remain per statement is
+   the tenant summary's run record and window sample. *)
+let test_server_keeps_nothing_per_statement () =
+  let instance = Workload.generate { Workload.default_spec with seed = 5 } in
+  let med = Helpers.check_ok (Mediator.create (Array.to_list instance.Workload.sources)) in
+  let config = { Mediator.Config.default with Mediator.Config.algo = Optimizer.Filter } in
+  let srv = Mediator.Server.create ~config ~cache_ttl:1e12 med in
+  let serve = Mediator.Server.serve srv in
+  let answered = ref 0 in
+  Serve.on_complete serve (fun c -> if c.Serve.c_answer <> None then incr answered);
+  let run k =
+    for _ = 1 to k do
+      ignore
+        (Helpers.check_ok
+           (Mediator.Server.submit srv ~at:(Serve.now serve) instance.Workload.query));
+      Mediator.Server.drain srv
+    done
+  in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let k = 200 in
+  run k;
+  let after_k = live () in
+  run (9 * k);
+  let after_10k = live () in
+  (* Read the server after the second measurement, so it (and the
+     world it serves) is live at both. *)
+  Alcotest.(check int) "every statement answered" (10 * k) !answered;
+  Alcotest.(check int) "every statement counted" (10 * k)
+    (Mediator.Server.stats srv).Serve.completed;
+  let per = float_of_int (after_10k - after_k) /. float_of_int (9 * k) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f live words per extra statement (< 50)" per)
+    true (per < 50.0)
 
 let test_drivers () =
   let instance = Workload.generate { Workload.default_spec with seed = 3 } in
@@ -527,10 +581,11 @@ let test_drivers () =
   (* Interarrival determinism: the same seed reproduces the stream. *)
   let arrivals seed =
     let srv = Serve.create ~policy:Serve.Fifo instance.Workload.sources in
+    let completions = Driver.collect srv in
     Driver.open_loop srv ~prng:(Prng.create seed) ~rate:0.05 ~count:6 (fun _ ->
         job_of env optimized);
     Serve.drain srv;
-    List.map (fun (c : Serve.completion) -> c.Serve.c_submitted) (Serve.completions srv)
+    List.map (fun (c : Serve.completion) -> c.Serve.c_submitted) (completions ())
   in
   Alcotest.(check bool) "same seed, same arrivals" true (arrivals 8 = arrivals 8);
   Alcotest.(check bool) "different seed, different arrivals" true
@@ -553,5 +608,7 @@ let suite =
       test_tenant_windows_and_slow_log;
     Alcotest.test_case "publish metrics" `Quick test_publish_metrics;
     Alcotest.test_case "open and closed loop drivers" `Quick test_drivers;
+    Alcotest.test_case "server keeps nothing per statement" `Quick
+      test_server_keeps_nothing_per_statement;
     Alcotest.test_case "serving on the domains runtime" `Quick test_serve_on_domains;
   ]
