@@ -101,11 +101,20 @@ type binding = Items of Item_set.t | Loaded of Relation.t
 
 exception Runtime_error of string
 
+(* The requests every shard issued: task ids, their labels and
+   conditions for the critical path, and the slots the runtime returned
+   (a real-clock runtime keeps no record per request). *)
+type book = {
+  mutable next_id : int;
+  labels : (int, string) Hashtbl.t;
+  cond_of : (int, int option) Hashtbl.t;
+  mutable events : Sim.scheduled list; (* newest first *)
+}
+
 (* Execute one fragment against its shard's replica groups. All
-   runtime state (lanes, task ids, labels) is shared across shards;
+   runtime state (lanes, the request book) is shared across shards;
    lanes are disjoint per shard so their schedules never interact. *)
-let exec_fragment ~cluster ~(config : Config.t) ~rt ~next_id ~labels ~cond_of ~ctx
-    ~conds fragment =
+let exec_fragment ~cluster ~(config : Config.t) ~rt ~book ~ctx ~conds fragment =
   let shard = fragment.Fragment.shard in
   let plan = fragment.Fragment.plan in
   let env : (string, binding * float * int list) Hashtbl.t = Hashtbl.create 16 in
@@ -162,14 +171,16 @@ let exec_fragment ~cluster ~(config : Config.t) ~rt ~next_id ~labels ~cond_of ~c
       let duration = (Source.totals src).Meter.cost -. before in
       (outcome, duration, true)
     in
-    let id = next_id () in
-    Hashtbl.replace labels id
+    let id = book.next_id in
+    book.next_id <- id + 1;
+    Hashtbl.replace book.labels id
       (Printf.sprintf "%s %s" (Op.name op) (Cluster.lane_name cluster lane));
-    Hashtbl.replace cond_of id
+    Hashtbl.replace book.cond_of id
       (match (op : Op.t) with
       | Select { cond = c; _ } | Semijoin { cond = c; _ } -> Some c
       | _ -> None);
     let outcome, sched = Runtime.call rt ~id ~server:lane ~ready ~deps thunk in
+    book.events <- sched :: book.events;
     if Trace.active ctx then
       Trace.span Trace.Request (Op.name op) (fun rctx ->
           Trace.attrs rctx
@@ -366,7 +377,7 @@ let fragments_for ~cluster ~(config : Config.t) query =
   | Error msg -> Error msg
   | Ok prepared ->
     let optimized = prepared.Mediator.prep_optimized in
-    let conds = Fusion_query.Query.conditions prepared.Mediator.prep_query in
+    let conds = prepared.Mediator.prep_conds in
     let shards = Cluster.shards cluster in
     let fragment_of shard =
       match config.Config.plan_mode with
@@ -413,10 +424,9 @@ let run ?(config = Config.default) cluster query =
   | Ok (optimized, conds, fragments) -> (
     Cluster.reset_meters cluster;
     let rt = Runtime.of_spec config.Config.runtime ~servers:(Cluster.lanes cluster) in
-    let ids = ref 0 in
-    let next_id () = let id = !ids in incr ids; id in
-    let labels : (int, string) Hashtbl.t = Hashtbl.create 64 in
-    let cond_of : (int, int option) Hashtbl.t = Hashtbl.create 64 in
+    let book =
+      { next_id = 0; labels = Hashtbl.create 64; cond_of = Hashtbl.create 64; events = [] }
+    in
     (* On the simulator, shards execute one after another (their lanes
        are disjoint, so the schedule is as-if concurrent) under Phase
        spans. On a real runtime each fragment is a fibre and really
@@ -429,8 +439,8 @@ let run ?(config = Config.default) cluster query =
                 List.map
                   (fun fragment ->
                     Fiber.Switch.fork_promise sw (fun () ->
-                        exec_fragment ~cluster ~config ~rt ~next_id ~labels ~cond_of
-                          ~ctx ~conds fragment))
+                        exec_fragment ~cluster ~config ~rt ~book ~ctx ~conds
+                          fragment))
                   fragments
                 |> List.map Fiber.Promise.await))
       else
@@ -440,18 +450,17 @@ let run ?(config = Config.default) cluster query =
               (Printf.sprintf "shard %d" fragment.Fragment.shard) (fun sctx ->
                 if Trace.active sctx then
                   Trace.attr sctx "shard" (Trace.Int fragment.Fragment.shard);
-                exec_fragment ~cluster ~config ~rt ~next_id ~labels ~cond_of ~ctx
-                  ~conds fragment))
+                exec_fragment ~cluster ~config ~rt ~book ~ctx ~conds fragment))
           fragments
     in
     match Fun.protect ~finally:(fun () -> Runtime.shutdown rt) exec_all with
     | shard_reports ->
       let answer = Fragment.merge_answers (List.map (fun s -> s.sr_answer) shard_reports) in
-      let timeline = Runtime.timeline rt in
+      let timeline = Sim.timeline_of book.events in
       let tasks =
         Analyze.of_timeline
-          ~label:(fun id -> Option.value ~default:"" (Hashtbl.find_opt labels id))
-          ~cond:(fun id -> Option.join (Hashtbl.find_opt cond_of id))
+          ~label:(fun id -> Option.value ~default:"" (Hashtbl.find_opt book.labels id))
+          ~cond:(fun id -> Option.join (Hashtbl.find_opt book.cond_of id))
           timeline
       in
       let sum f = List.fold_left (fun a s -> a + f s) 0 shard_reports in

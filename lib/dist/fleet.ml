@@ -55,7 +55,7 @@ let submit t ~at ?(tenant = "default") ?(priority = 0) ?deadline query =
     let job =
       {
         Serve.plan = optimized.Optimized.plan;
-        conds = Fusion_query.Query.conditions prepared.Mediator.prep_query;
+        conds = prepared.Mediator.prep_conds;
         tenant;
         priority;
         est_cost = optimized.Optimized.est_cost;

@@ -123,23 +123,85 @@ let schedule_analysis plan (r : Fusion_plan.Exec_async.result) =
   Analyze.critical_path
     (Analyze.of_timeline ~label ~cond r.Fusion_plan.Exec_async.timeline)
 
-(* The planning head shared by [run] and distributed coordinators
+(* The planning head shared by [run], distributed coordinators
    ([Fusion_dist.Coordinator] scatters the very plan the single-server
-   mediator would execute — its oracle-equivalence anchor). *)
-type prepared = { prep_query : Fusion_query.Query.t; prep_env : Opt_env.t; prep_optimized : Optimized.t }
+   mediator would execute — its oracle-equivalence anchor) and the
+   server, which adds its prepared-plan table (see [Plans]). *)
+type prepared = {
+  prep_query : Fusion_query.Query.t;
+  prep_conds : Cond.t array;
+  prep_optimized : Optimized.t;
+}
+
+let optimize ~algo ~stats t query =
+  let env = Opt_env.create ~stats t.sources query in
+  Log.debug (fun m ->
+      m "optimizing %a with %s over %d sources" Fusion_query.Query.pp query
+        (Optimizer.name algo) (Array.length t.sources));
+  {
+    prep_query = query;
+    prep_conds = env.Opt_env.conds;
+    prep_optimized = Optimizer.optimize algo env;
+  }
+
+(* Prepared plans, keyed structurally on the normalized query. An entry
+   is reused only while every source's relation version is the one it
+   was optimized at: exact and histogram statistics are functions of
+   the relation contents and the optimizers are deterministic, so the
+   reused plan is the one a fresh optimize would return. Sampled
+   statistics draw from a shared generator and never come here. The
+   table is flushed whole at [capacity] entries, so a server that never
+   sees a statement twice holds bounded state. *)
+module Plans = struct
+  type entry = { prepared : prepared; versions : int array }
+
+  type t = {
+    tbl : (Fusion_query.Query.t, entry) Hashtbl.t;
+    mutable lookups : int;
+    mutable hits : int;
+    mutable stale : int; (* found, but some source changed since *)
+  }
+
+  let capacity = 1024
+  let create () = { tbl = Hashtbl.create 64; lookups = 0; hits = 0; stale = 0 }
+  let version s = Relation.version (Source.relation s)
+
+  let current sources e =
+    let rec go j =
+      j >= Array.length sources || (version sources.(j) = e.versions.(j) && go (j + 1))
+    in
+    go 0
+
+  let find_or_add p sources query fresh =
+    p.lookups <- p.lookups + 1;
+    match Hashtbl.find_opt p.tbl query with
+    | Some e when current sources e ->
+      p.hits <- p.hits + 1;
+      e.prepared
+    | found ->
+      if Option.is_some found then p.stale <- p.stale + 1
+      else if Hashtbl.length p.tbl >= capacity then Hashtbl.reset p.tbl;
+      let versions = Array.map version sources in
+      let prepared = fresh () in
+      Hashtbl.replace p.tbl query { prepared; versions };
+      prepared
+end
+
+let prepare ?plans ~algo ~stats t query =
+  match Fusion_query.Query.validate (schema t) query with
+  | Error msg -> Error ("invalid query: " ^ msg)
+  | Ok () -> (
+    (* Redundant conditions (duplicates, TRUE) would cost whole rounds. *)
+    let query = Fusion_query.Query.normalize query in
+    let fresh () = optimize ~algo ~stats t query in
+    match (plans, stats) with
+    | Some p, (Opt_env.Exact | Opt_env.Histogram _) ->
+      Ok (Plans.find_or_add p t.sources query fresh)
+    | _, _ -> Ok (fresh ()))
 
 let plan_for ?(algo = Config.default.Config.algo) ?(stats = Config.default.Config.stats)
     t query =
-  match Fusion_query.Query.validate (schema t) query with
-  | Error msg -> Error ("invalid query: " ^ msg)
-  | Ok () ->
-    (* Redundant conditions (duplicates, TRUE) would cost whole rounds. *)
-    let query = Fusion_query.Query.normalize query in
-    let env = Opt_env.create ~stats t.sources query in
-    Log.debug (fun m ->
-        m "optimizing %a with %s over %d sources" Fusion_query.Query.pp query
-          (Optimizer.name algo) (Array.length t.sources));
-    Ok { prep_query = query; prep_env = env; prep_optimized = Optimizer.optimize algo env }
+  prepare ~algo ~stats t query
 
 (* Executes a plan through its compiled form: [Plan_compile.run] for
    sequential simulator runs, [Exec_async] (which compiles internally)
@@ -200,13 +262,13 @@ let execute ?(config = Config.default) t ~conds plan =
 let run_body ~(config : Config.t) ~ctx t query =
   match plan_for ~algo:config.Config.algo ~stats:config.Config.stats t query with
   | Error msg -> Error msg
-  | Ok { prep_query = _; prep_env = env; prep_optimized = optimized } -> (
+  | Ok { prep_query = _; prep_conds = conds; prep_optimized = optimized } -> (
     Log.info (fun m ->
         m "%s chose a %d-step plan, estimated cost %.1f"
           (Optimizer.name config.Config.algo)
           (List.length (Fusion_plan.Plan.ops optimized.Optimized.plan))
           optimized.Optimized.est_cost);
-    match execute ~config t ~conds:env.Opt_env.conds optimized.Optimized.plan with
+    match execute ~config t ~conds optimized.Optimized.plan with
     | Error msg -> Error msg
     | Ok x ->
       Log.info (fun m ->
@@ -374,14 +436,22 @@ let pp_report ppf r =
 
 (* Serving mode: many queries multiplexed onto one shared network.
    The mediator's contribution per submission is what [run] does up
-   front — validate, normalize, optimize — after which the job (plan,
-   conditions, cost estimate) is handed to [Fusion_serve.Server] and
-   the optimizer's estimate doubles as the scheduling/admission
-   weight. *)
+   front — validate, normalize, optimize (or reuse a prepared plan) —
+   after which the job (plan, conditions, cost estimate) is handed to
+   [Fusion_serve.Server] and the optimizer's estimate doubles as the
+   scheduling/admission weight. *)
 module Server = struct
   module S = Fusion_serve.Server
 
-  type nonrec t = { med : t; config : Config.t; srv : S.t }
+  type prepared_stats = { lookups : int; hits : int; stale : int; entries : int }
+
+  type nonrec t = {
+    med : t;
+    config : Config.t;
+    srv : S.t;
+    plans : Plans.t;
+    mutable published : prepared_stats; (* counters last exported to metrics *)
+  }
 
   let create ?(config = Config.default) ?(policy = S.Fifo) ?(max_inflight = 64)
       ?cache_ttl ?versioned_cache ?window ?slow_log med =
@@ -394,26 +464,47 @@ module Server = struct
       srv =
         S.create ~policy ~max_inflight ?cache_ttl ?versioned_cache
           ~exec_policy:(Config.policy config) ?window ?slow_log ~rt med.sources;
+      plans = Plans.create ();
+      published = { lookups = 0; hits = 0; stale = 0; entries = 0 };
     }
 
   let serve t = t.srv
   let mediator t = t.med
 
+  let plan t query =
+    prepare ~plans:t.plans ~algo:t.config.Config.algo ~stats:t.config.Config.stats t.med
+      query
+
+  let prepared_stats t =
+    let p = t.plans in
+    { lookups = p.Plans.lookups; hits = p.Plans.hits; stale = p.Plans.stale;
+      entries = Hashtbl.length p.Plans.tbl }
+
+  let publish_metrics t =
+    S.publish_metrics t.srv;
+    Metrics.record (fun r ->
+        let s = prepared_stats t and p = t.published in
+        let c name now last =
+          if now > last then Metrics.incr r ~by:(float_of_int (now - last)) name
+        in
+        c "fusion_prepared_lookups_total" s.lookups p.lookups;
+        c "fusion_prepared_hits_total" s.hits p.hits;
+        c "fusion_prepared_stale_total" s.stale p.stale;
+        Metrics.gauge r "fusion_prepared_entries" (float_of_int s.entries);
+        t.published <- s)
+
   let submit t ~at ?(tenant = "default") ?(priority = 0) ?deadline ?(label = "")
       query =
-    match Fusion_query.Query.validate (schema t.med) query with
-    | Error msg -> Error ("invalid query: " ^ msg)
-    | Ok () ->
-      let query = Fusion_query.Query.normalize query in
-      let env = Opt_env.create ~stats:t.config.Config.stats t.med.sources query in
-      let optimized = Optimizer.optimize t.config.Config.algo env in
+    match plan t query with
+    | Error msg -> Error msg
+    | Ok p ->
       let job =
         {
-          S.plan = optimized.Optimized.plan;
-          conds = env.Opt_env.conds;
+          S.plan = p.prep_optimized.Optimized.plan;
+          conds = p.prep_conds;
           tenant;
           priority;
-          est_cost = optimized.Optimized.est_cost;
+          est_cost = p.prep_optimized.Optimized.est_cost;
           deadline;
           label;
         }
@@ -425,18 +516,14 @@ module Server = struct
     | Error msg -> Error msg
     | Ok query -> submit t ~at ?tenant ?priority ?deadline ~label:text query
 
-  (* Standing queries: same validate → normalize → optimize head as
-     [submit], but the chosen plan is registered for incremental
-     maintenance instead of being enqueued for execution. *)
+  (* Standing queries: the same planning head as [submit], but the
+     chosen plan is registered for incremental maintenance instead of
+     being enqueued for execution. *)
   let subscribe t ?(tenant = "default") ?(label = "") query =
-    match Fusion_query.Query.validate (schema t.med) query with
-    | Error msg -> Error ("invalid query: " ^ msg)
-    | Ok () ->
-      let query = Fusion_query.Query.normalize query in
-      let env = Opt_env.create ~stats:t.config.Config.stats t.med.sources query in
-      let optimized = Optimizer.optimize t.config.Config.algo env in
-      S.subscribe t.srv ~tenant ~label ~conds:env.Opt_env.conds
-        optimized.Optimized.plan
+    match plan t query with
+    | Error msg -> Error msg
+    | Ok p ->
+      S.subscribe t.srv ~tenant ~label ~conds:p.prep_conds p.prep_optimized.Optimized.plan
 
   let subscribe_sql t ?tenant text =
     match

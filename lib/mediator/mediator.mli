@@ -86,14 +86,14 @@ type report = {
           [mediator.run] span; [[]] when tracing is off *)
 }
 
-(** The planning head of {!run}, reusable on its own: validated,
-    normalized query plus the optimizer environment and chosen plan.
+(** The planning head of {!run} and {!Server}, reusable on its own:
+    validated, normalized query plus its conditions and chosen plan.
     {!Fusion_dist.Coordinator} scatters exactly this plan to its
     shards, which is what makes the single-mediator [run] its
     correctness oracle. *)
 type prepared = {
   prep_query : Fusion_query.Query.t;  (** normalized *)
-  prep_env : Opt_env.t;
+  prep_conds : Fusion_cond.Cond.t array;  (** the plan's condition table *)
   prep_optimized : Optimized.t;
 }
 
@@ -104,7 +104,9 @@ val plan_for :
   Fusion_query.Query.t ->
   (prepared, string) result
 (** Validate → normalize → build statistics → optimize, without
-    executing anything. Defaults match {!Config.default}. *)
+    executing anything. Defaults match {!Config.default}. Always
+    optimizes afresh; {!Server} puts its prepared-plan table in front
+    of the same head. *)
 
 (** The execution-shaped slice of a {!report}. *)
 type execution = {
@@ -184,7 +186,23 @@ val pp_report : Format.formatter -> report -> unit
     estimate becomes the job's scheduling weight ([Sjf]) and
     admission-control signal. A single submitted query served under
     the [Fifo] policy executes byte-identically to
-    [run ~config:{config with concurrency = `Par}]. *)
+    [run ~config:{config with concurrency = `Par}].
+
+    {b Prepared plans.} Submissions and subscriptions share one
+    planning head ({!plan_for}'s) behind a prepared-plan table. Its key
+    is the normalized query, compared structurally; an entry holds the
+    conditions, the plan and its estimate, and the relation version of
+    every source when it was optimized. A statement reuses the entry
+    only while all those versions are unchanged — any delta to any
+    source makes it stale, and the next submission optimizes afresh.
+    Under [Exact] and [Histogram] statistics the optimizers are
+    deterministic functions of the relation contents, so a reused plan
+    is exactly the one a fresh {!plan_for} returns. [Sampled]
+    statistics draw from a shared generator: every submission draws
+    fresh statistics and the table is bypassed. The table is flushed
+    whole when it reaches 1024 statements, so a server that never sees
+    a statement twice holds bounded state. Compilation stays per
+    admission: every live engine needs its own compiled plan. *)
 module Server : sig
   type mediator := t
 
@@ -214,7 +232,8 @@ module Server : sig
     ?label:string ->
     Fusion_query.Query.t ->
     (int, string) result
-  (** Optimizes the query and enqueues it at simulated instant [at];
+  (** Plans the query (reusing a prepared plan when no source changed)
+      and enqueues it at simulated instant [at];
       returns the submission id. The result arrives through the
       underlying server's {!Fusion_serve.Server.on_complete} hooks
       (the completion's [c_job] carries the chosen plan and estimate);
@@ -237,8 +256,8 @@ module Server : sig
     ?label:string ->
     Fusion_query.Query.t ->
     (int, string) result
-  (** Registers a standing query: the same validate → normalize →
-      optimize head as {!submit}, but the chosen plan is maintained
+  (** Registers a standing query: the same planning head and
+      prepared-plan table as {!submit}, but the chosen plan is maintained
       incrementally (see {!Fusion_serve.Server.subscribe}) and answer
       diffs are pushed through the server's [on_push] hooks whenever
       {!mutate} changes the answer. Returns the subscription id. *)
@@ -265,6 +284,23 @@ module Server : sig
   val step : t -> bool
   val drain : t -> unit
   val stats : t -> Fusion_serve.Server.stats
+
+  type prepared_stats = {
+    lookups : int;  (** statements planned through the table *)
+    hits : int;  (** reused a current prepared plan *)
+    stale : int;  (** found a plan some source delta had outdated *)
+    entries : int;  (** statements held now (at most 1024) *)
+  }
+
+  val prepared_stats : t -> prepared_stats
+  (** The prepared-plan table's counters. Under [Sampled] statistics
+      nothing is looked up. *)
+
+  val publish_metrics : t -> unit
+  (** {!Fusion_serve.Server.publish_metrics}, plus the prepared-plan
+      table as [fusion_prepared_lookups_total], [_hits_total] and
+      [_stale_total] counters and the [fusion_prepared_entries] gauge
+      into the installed registry — for a pre-scrape refresh hook. *)
 
   val runtime : t -> Fusion_rt.Runtime.t
   (** The execution runtime serving this server's queries. *)

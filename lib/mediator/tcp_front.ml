@@ -310,6 +310,13 @@ let serve ?(config = Mediator.Config.default) ?(policy = S.Fifo) ?max_inflight
                   fnum cs.Fusion_plan.Answer_cache.staleness_sum );
                 ( "staleness_max",
                   fnum cs.Fusion_plan.Answer_cache.staleness_max ) ] );
+          ( "prepared",
+            let ps = Mediator.Server.prepared_stats srv in
+            Json.Obj
+              [ ("lookups", Json.Int ps.Mediator.Server.lookups);
+                ("hits", Json.Int ps.Mediator.Server.hits);
+                ("stale", Json.Int ps.Mediator.Server.stale);
+                ("entries", Json.Int ps.Mediator.Server.entries) ] );
           ( "delta",
             let ds = S.delta_stats server in
             Json.Obj
@@ -520,7 +527,7 @@ let serve ?(config = Mediator.Config.default) ?(policy = S.Fifo) ?max_inflight
                         in
                         let refresh () =
                           Runtime.publish_metrics rt;
-                          S.publish_metrics server
+                          Mediator.Server.publish_metrics srv
                         in
                         (match
                            Admin_front.start ~sw ?on_listen:admin_on_listen

@@ -84,6 +84,9 @@ val serve :
     {!Fusion_obs.Metrics} registry is installed, one is installed so
     the scrape is never empty; a daemon republishes point-in-time
     runtime/serving gauges every second and before every scrape.
+    [/statusz]'s [prepared] object and the [fusion_prepared_*]
+    counters report the prepared-plan table
+    ({!Mediator.Server.prepared_stats}).
     [window] is the per-tenant sliding-window span in seconds (default
     60) behind the live percentiles; [slow_threshold] enables the
     structured slow-query log ({!Fusion_serve.Slow_log}) surfaced on

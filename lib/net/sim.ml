@@ -4,6 +4,18 @@ type scheduled = { task : task; start : float; finish : float }
 
 type timeline = { events : scheduled list; makespan : float }
 
+let timeline_of scheduled =
+  let events =
+    List.sort
+      (fun a b ->
+        match Float.compare a.start b.start with
+        | 0 -> Int.compare a.task.id b.task.id
+        | c -> c)
+      scheduled
+  in
+  let makespan = List.fold_left (fun acc e -> Float.max acc e.finish) 0.0 events in
+  { events; makespan }
+
 (* The simulation is a ready-queue loop: at every step we pick, among
    ready (all deps done) unscheduled tasks, the one that can start
    earliest — ready time is the max of its deps' finishes, start time
@@ -71,16 +83,7 @@ let run ~servers tasks =
     pending := blocked
   done;
   assert (!done_count = total);
-  let events =
-    List.sort
-      (fun a b ->
-        match Float.compare a.start b.start with
-        | 0 -> Int.compare a.task.id b.task.id
-        | c -> c)
-      !scheduled
-  in
-  let makespan = List.fold_left (fun acc e -> Float.max acc e.finish) 0.0 events in
-  { events; makespan }
+  timeline_of !scheduled
 
 (* The incremental face of the same queueing discipline: a live executor
    discovers task durations only at dispatch time (the answer determines
@@ -126,17 +129,7 @@ module Live = struct
 
   let busy t = Array.copy t.busy
 
-  let timeline t =
-    let events =
-      List.sort
-        (fun a b ->
-          match Float.compare a.start b.start with
-          | 0 -> Int.compare a.task.id b.task.id
-          | c -> c)
-        t.events
-    in
-    let makespan = List.fold_left (fun acc e -> Float.max acc e.finish) 0.0 events in
-    { events; makespan }
+  let timeline t = timeline_of t.events
 end
 
 let pp_gantt ?(width = 60) ?(server_name = fun j -> Printf.sprintf "R%d" (j + 1)) ppf t =

@@ -30,6 +30,11 @@ type timeline = {
   makespan : float;  (** completion time of the last task *)
 }
 
+val timeline_of : scheduled list -> timeline
+(** Orders scheduled tasks by start time (ties by id) and takes the
+    latest finish as the makespan — for callers that collect the slots
+    {!Live.dispatch} (or a runtime call) returned. *)
+
 val run : servers:int -> task list -> timeline
 (** Simulates the task set to completion. Tasks become ready the moment
     their last dependency finishes; a ready task waits for its server to

@@ -24,9 +24,15 @@
    skips dispatch when [book] is false. The domains backend always
    books — real time passed either way.
 
-   A runtime must be driven from one domain: timeline and observation
-   state is mutated without locks (fibres interleave cooperatively;
-   worker domains only run thunks and resolve suspensions). *)
+   The domains backend keeps counters, not a record per request: the
+   slot a call returns is the caller's to keep (an engine's steps, a
+   coordinator's schedule), so a long-running server's memory does not
+   grow with the requests it has answered.
+
+   A runtime must be driven from one domain: its counters and
+   observation state are mutated without locks (fibres interleave
+   cooperatively; worker domains only run thunks and resolve
+   suspensions). *)
 
 [@@@alert "-sim_construct"]
 
@@ -55,7 +61,6 @@ type domains = {
   pool : Pool.t;
   d_servers : int;
   epoch : float;
-  mutable d_events : Sim.scheduled list; (* newest first *)
   mutable d_count : int;
   d_pending : int array; (* calls submitted, not yet finished, per server *)
   d_ewma : float array; (* smoothed call duration per server; <0 = none yet *)
@@ -81,7 +86,6 @@ let domains ?domains:d ~servers () =
       pool = Pool.create ~domains:d ~lanes:servers;
       d_servers = servers;
       epoch = Unix.gettimeofday ();
-      d_events = [];
       d_count = 0;
       d_pending = Array.make servers 0;
       d_ewma = Array.make servers (-1.0);
@@ -146,19 +150,7 @@ let dispatched = function
 
 let timeline = function
   | Sim_b live -> Sim.Live.timeline live
-  | Dom_b d ->
-    let events =
-      List.sort
-        (fun (a : Sim.scheduled) b ->
-          match compare a.Sim.start b.Sim.start with
-          | 0 -> compare a.Sim.task.Sim.id b.Sim.task.Sim.id
-          | c -> c)
-        d.d_events
-    in
-    let makespan =
-      List.fold_left (fun acc (e : Sim.scheduled) -> Float.max acc e.Sim.finish) 0.0 events
-    in
-    { Sim.events; makespan }
+  | Dom_b d -> { Sim.events = []; makespan = Array.fold_left Float.max 0.0 d.d_free }
 
 (* Run [f] on the pool lane and wait: suspend when called from a fibre,
    block the domain otherwise. *)
@@ -221,12 +213,8 @@ let call t ~id ~server ~ready ~deps thunk =
        else (0.75 *. d.d_ewma.(server)) +. (0.25 *. duration));
     d.d_free.(server) <- Float.max d.d_free.(server) finish;
     d.d_busy.(server) <- d.d_busy.(server) +. duration;
-    let sched =
-      { Sim.task = { Sim.id; server; duration; deps }; start; finish }
-    in
-    d.d_events <- sched :: d.d_events;
     d.d_count <- d.d_count + 1;
-    (v, sched)
+    (v, { Sim.task = { Sim.id; server; duration; deps }; start; finish })
 
 (* --- live introspection --------------------------------------------------- *)
 

@@ -80,7 +80,14 @@ val busy : t -> float array
     seconds). *)
 
 val dispatched : t -> int
+
 val timeline : t -> Fusion_net.Sim.timeline
+(** Simulator: every booked request, in start order. Domains: no
+    events — the backend keeps no record per request, so its memory
+    does not grow with the requests answered — and the latest finish
+    observed as the makespan. A caller that needs a real-clock schedule
+    keeps the slots {!call} returns ({!Fusion_net.Sim.timeline_of}
+    orders them). *)
 
 val pool_stats : t -> Pool.stats option
 (** The domains backend's pool counters; [None] on the simulator. *)
@@ -115,8 +122,9 @@ val call :
     untouched (the sequential oracle raises on [`Fail] exhaustion
     before its failed attempt is ever booked). On domains the thunk
     runs on the server's pool lane, [book]/[ready] are moot, and the
-    returned slot holds measured wall-clock start/finish. Exceptions
-    from the thunk propagate to the caller. *)
+    returned slot holds measured wall-clock start/finish; only the
+    caller keeps it (see {!timeline}). Exceptions from the thunk
+    propagate to the caller. *)
 
 val run : t -> (unit -> 'a) -> 'a
 (** Enters the runtime's execution context: on domains, runs [fn] under

@@ -462,6 +462,165 @@ let matching_row instance item =
     (Value.String item
     :: List.init (Query.m instance.Workload.query) (fun _ -> Value.Int 0))
 
+(* --- prepared plans ---------------------------------------------------- *)
+
+(* The statements a served session repeats: the instance query, its
+   conditions in reverse order, and each condition alone. *)
+let statements (instance : Workload.instance) =
+  let conds = Array.to_list (Query.conditions instance.Workload.query) in
+  Array.of_list
+    (instance.Workload.query
+    :: Query.create_exn (List.rev conds)
+    :: List.map (fun c -> Query.create_exn [ c ]) conds)
+
+(* Submits one statement, drains, and returns the job the server ran. *)
+let served_job msrv completed q =
+  let at = Serve.now (Mediator.Server.serve msrv) in
+  ignore (Helpers.check_ok (Mediator.Server.submit msrv ~at q) : int);
+  Mediator.Server.drain msrv;
+  match List.rev (completed ()) with
+  | c :: _ -> c.Serve.c_job
+  | [] -> Alcotest.fail "no completion"
+
+let same_plan (job : Serve.job) (p : Mediator.prepared) =
+  let fresh = p.Mediator.prep_optimized in
+  job.Serve.conds = p.Mediator.prep_conds
+  && Fusion_plan.Plan.ops job.Serve.plan = Fusion_plan.Plan.ops fresh.Optimized.plan
+  && Fusion_plan.Plan.output job.Serve.plan = Fusion_plan.Plan.output fresh.Optimized.plan
+  && Float.equal job.Serve.est_cost fresh.Optimized.est_cost
+
+(* A served statement reuses its prepared plan only while no source
+   changed, so under exact and histogram statistics every submission —
+   hit, stale or new — runs exactly the plan a fresh [plan_for] returns
+   on the same state. Repeats are interleaved with random insert/delete
+   batches on random sources. *)
+let prepared_plans_equal_fresh =
+  Helpers.qtest ~count:30 "prepared plans ≡ fresh plan_for under deltas"
+    QCheck2.Gen.(triple Helpers.spec_gen bool (int_range 4 16))
+    (fun (spec, histogram, rounds) ->
+      Printf.sprintf "%s statistics, %d rounds, %s"
+        (if histogram then "histogram" else "exact")
+        rounds (Helpers.spec_print spec))
+    (fun (spec, histogram, rounds) ->
+      let instance = Workload.generate spec in
+      let sources = instance.Workload.sources in
+      let med = Mediator.create_exn (Array.to_list sources) in
+      let stats = if histogram then Opt_env.Histogram 8 else Opt_env.Exact in
+      let msrv =
+        Mediator.Server.create
+          ~config:{ Mediator.Config.default with Mediator.Config.stats }
+          med
+      in
+      let completed = Fusion_serve.Driver.collect (Mediator.Server.serve msrv) in
+      let pool = statements instance in
+      let prng = Prng.create (spec.Workload.seed + 91) in
+      let ok = ref true in
+      for _round = 1 to rounds do
+        if Prng.int prng 3 = 0 then begin
+          let s = sources.(Prng.int prng (Array.length sources)) in
+          let delta = random_delta prng instance (Source.relation s) in
+          ignore
+            (Helpers.check_ok
+               (Mediator.Server.mutate msrv ~source:(Source.name s) delta)
+              : Delta.applied)
+        end;
+        let q = Prng.pick prng pool in
+        let job = served_job msrv completed q in
+        ok := !ok && same_plan job (Helpers.check_ok (Mediator.plan_for ~stats med q))
+      done;
+      let ps = Mediator.Server.prepared_stats msrv in
+      Mediator.Server.shutdown msrv;
+      !ok
+      && ps.Mediator.Server.lookups = rounds
+      && ps.Mediator.Server.hits + ps.Mediator.Server.stale <= rounds)
+
+let test_prepared_reuse_and_staleness () =
+  let instance = Workload.generate small_spec in
+  let med = Mediator.create_exn (Array.to_list instance.Workload.sources) in
+  let msrv = Mediator.Server.create med in
+  let completed = Fusion_serve.Driver.collect (Mediator.Server.serve msrv) in
+  let q = instance.Workload.query in
+  let stats () = Mediator.Server.prepared_stats msrv in
+  let first = served_job msrv completed q in
+  let again = served_job msrv completed q in
+  Alcotest.(check bool) "a hit runs the very same plan" true
+    (first.Serve.plan == again.Serve.plan);
+  let s = stats () in
+  Alcotest.(check (list int)) "lookups, hits, stale, entries" [ 2; 1; 0; 1 ]
+    [ s.Mediator.Server.lookups; s.hits; s.stale; s.entries ];
+  (* A subscription plans through the same table. *)
+  ignore (Helpers.check_ok (Mediator.Server.subscribe msrv q) : int);
+  Alcotest.(check int) "subscribe hit" 2 (stats ()).Mediator.Server.hits;
+  (* Any delta to any source outdates the entry. *)
+  let delta = Delta.make ~inserts:[ matching_row instance "Zfresh" ] ~deletes:[] in
+  ignore
+    (Helpers.check_ok (Mediator.Server.mutate msrv ~source:"R3" delta) : Delta.applied);
+  ignore (served_job msrv completed q : Serve.job);
+  let s = stats () in
+  Alcotest.(check (list int)) "after a delta" [ 4; 2; 1; 1 ]
+    [ s.Mediator.Server.lookups; s.hits; s.stale; s.entries ];
+  (* An invalid statement never reaches the table. *)
+  ignore
+    (Helpers.check_err "invalid"
+       (Mediator.Server.submit msrv ~at:0.0
+          (Query.create_exn
+             [ Fusion_cond.Cond.Cmp ("nope", Fusion_cond.Cond.Lt, Value.Int 1) ])));
+  Alcotest.(check int) "no lookup for an invalid query" 4
+    (stats ()).Mediator.Server.lookups;
+  Mediator.Server.shutdown msrv
+
+(* Sampled statistics draw from a shared generator: every submission
+   draws afresh, exactly as a fresh [plan_for] would, and the table is
+   never consulted. *)
+let test_prepared_bypass_sampled () =
+  let instance = Workload.generate small_spec in
+  let med = Mediator.create_exn (Array.to_list instance.Workload.sources) in
+  let served = Prng.create 5 and fresh = Prng.create 5 in
+  let msrv =
+    Mediator.Server.create
+      ~config:
+        { Mediator.Config.default with Mediator.Config.stats = Opt_env.Sampled (6, served) }
+      med
+  in
+  let completed = Fusion_serve.Driver.collect (Mediator.Server.serve msrv) in
+  let q = instance.Workload.query in
+  for i = 1 to 3 do
+    let job = served_job msrv completed q in
+    let p =
+      Helpers.check_ok (Mediator.plan_for ~stats:(Opt_env.Sampled (6, fresh)) med q)
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "submission %d = fresh draw" i)
+      true (same_plan job p)
+  done;
+  Alcotest.(check bool) "the generator advanced as three fresh optimizations" true
+    (Int64.equal (Prng.next_int64 served) (Prng.next_int64 fresh));
+  Alcotest.(check int) "no lookups" 0
+    (Mediator.Server.prepared_stats msrv).Mediator.Server.lookups;
+  Mediator.Server.shutdown msrv
+
+(* A server that never sees a statement twice holds bounded state. *)
+let test_prepared_bounded () =
+  let instance = Workload.generate small_spec in
+  let med = Mediator.create_exn (Array.to_list instance.Workload.sources) in
+  let msrv = Mediator.Server.create med in
+  let statement k =
+    Query.create_exn [ Fusion_cond.Cond.Cmp ("A1", Fusion_cond.Cond.Lt, Value.Int k) ]
+  in
+  let most = ref 0 in
+  for k = 0 to 1024 do
+    ignore (Helpers.check_ok (Mediator.Server.submit msrv ~at:0.0 (statement k)) : int);
+    most := max !most (Mediator.Server.prepared_stats msrv).Mediator.Server.entries
+  done;
+  let s = Mediator.Server.prepared_stats msrv in
+  Alcotest.(check int) "1025 lookups" 1025 s.Mediator.Server.lookups;
+  Alcotest.(check int) "never more than 1024 entries" 1024 !most;
+  Alcotest.(check bool) "flushed at the bound" true (s.Mediator.Server.entries <= 1024);
+  ignore (Helpers.check_ok (Mediator.Server.submit msrv ~at:0.0 (statement 1024)) : int);
+  Alcotest.(check int) "the newest statement survives the flush" 1
+    (Mediator.Server.prepared_stats msrv).Mediator.Server.hits;
+  Mediator.Server.shutdown msrv
+
 let test_server_subscribe_push () =
   let instance = Workload.generate small_spec in
   let env = Opt_env.create instance.Workload.sources instance.Workload.query in
@@ -660,6 +819,12 @@ let suite =
     rules_prop;
     incremental_equals_full;
     persistent_stats_equal_fresh;
+    prepared_plans_equal_fresh;
+    Alcotest.test_case "prepared plan reuse and staleness" `Quick
+      test_prepared_reuse_and_staleness;
+    Alcotest.test_case "sampled statistics bypass prepared plans" `Quick
+      test_prepared_bypass_sampled;
+    Alcotest.test_case "prepared plans bounded" `Quick test_prepared_bounded;
     Alcotest.test_case "versioned answer cache" `Quick test_versioned_cache;
     Alcotest.test_case "cache apply_delta" `Quick test_cache_apply_delta;
     Alcotest.test_case "cache publish_metrics" `Quick test_cache_publish_metrics;

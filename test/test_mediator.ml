@@ -312,7 +312,7 @@ let test_execute_rejects_invalid_plan () =
   in
   let x =
     Helpers.check_ok
-      (Mediator.execute mediator ~conds:good.Mediator.prep_env.Opt_env.conds
+      (Mediator.execute mediator ~conds:good.Mediator.prep_conds
          good.Mediator.prep_optimized.Optimized.plan)
   in
   Alcotest.check Helpers.item_set "a valid plan still runs"

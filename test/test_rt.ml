@@ -357,6 +357,38 @@ let test_domains_call_measures_wall () =
     ((Runtime.timeline rt).Fusion_net.Sim.makespan >= 0.0);
   check_bool "is_real" true (Runtime.is_real rt)
 
+(* The domains backend keeps counters, not a record per request: the
+   slot a call returns is the caller's. The live heap after 10·K calls
+   is the heap after K calls, plus less than [bound] words per extra
+   call; a kept slot (list cell, [Sim.scheduled], task, boxed floats)
+   costs about 20. *)
+let test_domains_calls_keep_no_record () =
+  let rt = Runtime.domains ~domains:1 ~servers:2 () in
+  Fun.protect ~finally:(fun () -> Runtime.shutdown rt) @@ fun () ->
+  let calls ~from n =
+    for id = from to from + n - 1 do
+      ignore
+        (Runtime.call rt ~id ~server:(id land 1) ~ready:0.0 ~deps:[ id - 1 ] (fun () ->
+             ((), 1.0, true))
+          : unit * Fusion_net.Sim.scheduled)
+    done
+  in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let k = 500 and bound = 2.0 in
+  calls ~from:0 k;
+  let before = live () in
+  calls ~from:k (9 * k);
+  let after = live () in
+  check_int "dispatched" (10 * k) (Runtime.dispatched rt);
+  let per_call = float_of_int (after - before) /. float_of_int (9 * k) in
+  check_bool
+    (Printf.sprintf "%.2f live words per extra call (bound %.0f)" per_call bound)
+    true (per_call < bound);
+  check_bool "no events kept" true ((Runtime.timeline rt).Fusion_net.Sim.events = [])
+
 let test_runtime_publish_metrics () =
   let r = Fusion_obs.Metrics.create () in
   Fusion_obs.Metrics.with_registry r (fun () ->
@@ -477,6 +509,8 @@ let suite =
     Alcotest.test_case "pool: stats" `Quick test_pool_stats;
     Alcotest.test_case "runtime: spec parsing" `Quick test_spec_parsing;
     Alcotest.test_case "runtime: domains call" `Quick test_domains_call_measures_wall;
+    Alcotest.test_case "runtime: domains calls keep no record" `Quick
+      test_domains_calls_keep_no_record;
     Alcotest.test_case "runtime: publish metrics" `Quick test_runtime_publish_metrics;
     Alcotest.test_case "runtime: concurrent servers" `Quick test_domains_concurrent_servers;
     Helpers.qtest ~count:25 "runtime: domains answers equal the sequential oracle"
