@@ -517,7 +517,35 @@ let test_serve_on_domains () =
             Alcotest.(check bool) "answer matches sequential executor" true
               (Item_set.equal expected.Fusion_plan.Exec.answer a)
           | None -> Alcotest.fail "query failed on the domains runtime")
-        completions)
+        completions;
+      (* The runtime keeps no slot per request; the shared schedule is
+         rebuilt from the completions' steps, one slot per dispatched
+         request, task ids unique across queries. *)
+      let steps = List.concat_map (fun c -> c.Serve.c_steps) completions in
+      let dispatched =
+        List.length
+          (List.filter
+             (fun s ->
+               match s.Fusion_plan.Exec_async.sched with
+               | Some { Fusion_plan.Exec_async.dispatched = true; _ } -> true
+               | Some _ | None -> false)
+             steps)
+      in
+      let timeline =
+        Fusion_net.Sim.timeline_of
+          (Fusion_plan.Exec_async.scheduled_of_steps ~real:true steps)
+      in
+      let events = timeline.Fusion_net.Sim.events in
+      let ids = List.map (fun e -> e.Fusion_net.Sim.task.Fusion_net.Sim.id) events in
+      Alcotest.(check bool) "some requests dispatched" true (dispatched > 0);
+      Alcotest.(check int) "one slot per dispatched request" dispatched
+        (List.length events);
+      Alcotest.(check int) "task ids unique" (List.length ids)
+        (List.length (List.sort_uniq compare ids));
+      Alcotest.(check bool) "slots are wall-clock spans" true
+        (List.for_all
+           (fun e -> e.Fusion_net.Sim.finish >= e.Fusion_net.Sim.start)
+           events))
 
 (* A long-running server holds nothing per answered statement: results
    leave through the completion hook. The same statement is served K
