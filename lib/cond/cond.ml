@@ -191,6 +191,18 @@ let rec simplify = function
   | Not a -> ( match simplify a with Not x -> x | x -> Not x)
   | atom -> atom
 
+(* Literals print so the lexer reads them back as the same value: a
+   float takes the shortest [%g] precision that round-trips, exponent
+   and all. *)
+let pp_literal ppf = function
+  | Value.Float f ->
+    let rec shortest p =
+      let s = Printf.sprintf "%.*g" p f in
+      if p >= 17 || float_of_string s = f then s else shortest (p + 1)
+    in
+    Format.pp_print_string ppf (shortest 1)
+  | v -> Value.pp ppf v
+
 let rec pp ppf t =
   let pp_arg ppf x =
     match x with
@@ -199,12 +211,12 @@ let rec pp ppf t =
   in
   match t with
   | True -> Format.pp_print_string ppf "TRUE"
-  | Cmp (a, op, v) -> Format.fprintf ppf "%s %s %a" a (cmp_to_string op) Value.pp v
+  | Cmp (a, op, v) -> Format.fprintf ppf "%s %s %a" a (cmp_to_string op) pp_literal v
   | Between (a, lo, hi) ->
-    Format.fprintf ppf "%s BETWEEN %a AND %a" a Value.pp lo Value.pp hi
+    Format.fprintf ppf "%s BETWEEN %a AND %a" a pp_literal lo pp_literal hi
   | In_list (a, vs) ->
     Format.fprintf ppf "%s IN (%a)" a
-      (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ") Value.pp)
+      (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ") pp_literal)
       vs
   | Prefix (a, p) -> Format.fprintf ppf "%s LIKE '%s%%'" a p
   | Is_null a -> Format.fprintf ppf "%s IS NULL" a

@@ -49,18 +49,34 @@ let tokenize input =
       while !i < n && is_digit input.[!i] do
         incr i
       done;
-      let is_float = !i < n && input.[!i] = '.' && !i + 1 < n && is_digit input.[!i + 1] in
-      if is_float then begin
-        incr i;
+      let digits () =
         while !i < n && is_digit input.[!i] do
           incr i
         done
+      in
+      let fraction = !i + 1 < n && input.[!i] = '.' && is_digit input.[!i + 1] in
+      if fraction then begin
+        incr i;
+        digits ()
       end;
+      (* An exponent: [e] or [E], an optional sign, then digits. *)
+      let exponent =
+        !i + 1 < n
+        && (input.[!i] = 'e' || input.[!i] = 'E')
+        && (is_digit input.[!i + 1]
+           || ((input.[!i + 1] = '+' || input.[!i + 1] = '-')
+              && !i + 2 < n && is_digit input.[!i + 2]))
+      in
+      if exponent then begin
+        i := !i + 2;
+        digits ()
+      end;
+      let is_float = fraction || exponent in
       let text = String.sub input start (!i - start) in
       if is_float then
         match float_of_string_opt text with
-        | Some f -> emit (Float f)
-        | None -> fail (Printf.sprintf "bad number %S" text)
+        | Some f when Float.is_finite f -> emit (Float f)
+        | _ -> fail (Printf.sprintf "bad number %S" text)
       else begin
         match int_of_string_opt text with
         | Some k -> emit (Int k)

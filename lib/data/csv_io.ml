@@ -58,9 +58,12 @@ let parse_header line =
         let ty_str = String.sub field (i + 1) (String.length field - i - 1) in
         match Value.ty_of_string ty_str with
         | Error msg -> Error msg
-        | Ok ty ->
-          if starred then merge := Some name;
-          go ((name, ty) :: acc) rest))
+        | Ok ty -> (
+          match (starred, !merge) with
+          | true, Some _ -> Error "more than one merge attribute marked with '*'"
+          | _ ->
+            if starred then merge := Some name;
+            go ((name, ty) :: acc) rest)))
   in
   go [] fields
 
@@ -128,7 +131,8 @@ let read_file ~name ?intern path =
    it: separators and quotes, whitespace that trimming would eat, and
    the [""] / ["NULL"] spellings of null. Embedded newlines still can't
    round-trip (the reader is line-based), so they get quoted here but
-   rejected on read. A null stays a bare empty field. *)
+   rejected on read. A null stays a bare empty field, except as the
+   only field of a row. *)
 let needs_quoting s =
   s = "" || s = "NULL" || s <> String.trim s
   || String.exists (fun c -> c = ',' || c = '"' || c = '\n' || c = '\r') s
@@ -158,9 +162,13 @@ let write_string relation =
   let header =
     Schema.attrs schema
     |> List.map (fun (name, ty) ->
-           Printf.sprintf "%s%s:%s"
-             (if name = merge then "*" else "")
-             name (Value.ty_to_string ty))
+           let field =
+             Printf.sprintf "%s%s:%s"
+               (if name = merge then "*" else "")
+               name (Value.ty_to_string ty)
+           in
+           (* Names may hold anything a quoted header field can. *)
+           if needs_quoting field then quote_field field else field)
     |> String.concat ","
   in
   Buffer.add_string buffer header;
@@ -168,7 +176,10 @@ let write_string relation =
   Relation.iter
     (fun tuple ->
       let fields = Array.to_list tuple |> List.map value_to_field in
-      Buffer.add_string buffer (String.concat "," fields);
+      (* A lone null would leave a blank line, which the reader skips;
+         the bare [NULL] spelling reads back as the same null. *)
+      let line = match String.concat "," fields with "" -> "NULL" | l -> l in
+      Buffer.add_string buffer line;
       Buffer.add_char buffer '\n')
     relation;
   Buffer.contents buffer

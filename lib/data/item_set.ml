@@ -48,36 +48,41 @@ let dense card span = card >= bits_min_card && span <= bits_max_spread * card
 let kernel_calls = ref 0
 let kernel () = incr kernel_calls
 
-let popcount w =
-  let c = ref 0 and x = ref w in
-  while !x <> 0 do
-    x := !x land (!x - 1);
-    incr c
-  done;
-  !c
+(* Word-at-a-time bit counting: the two halves of a word (32 + 31
+   bits) each get the classic SWAR popcount, which stays exact in
+   OCaml's 63-bit ints. *)
+let popcount32 x =
+  let x = x - ((x lsr 1) land 0x55555555) in
+  let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
+  let x = (x + (x lsr 4)) land 0x0f0f0f0f in
+  ((x * 0x01010101) lsr 24) land 0xff
 
-let lsb_index w =
-  let rec go j x = if x land 1 = 1 then j else go (j + 1) (x lsr 1) in
-  go 0 w
+let popcount w = popcount32 (w land 0xffffffff) + popcount32 (w lsr 32)
 
+(* Index of the lowest set bit of a nonzero word: count the ones below
+   it. *)
+let lsb_index w = popcount ((w land -w) - 1)
+
+(* Index of the highest set bit of a nonzero word: a binary search
+   over shift widths 32, 16, ..., 1. *)
 let msb_index w =
-  let rec go j x = if x = 1 then j else go (j + 1) (x lsr 1) in
-  go 0 w
+  let rec go j x s =
+    if s = 0 then j else if x lsr s <> 0 then go (j + s) (x lsr s) (s / 2) else go j x (s / 2)
+  in
+  go 0 w 32
 
+(* Visits set bits only: each step strips the lowest one. *)
 let ids_of_bits (b : bits) =
   let out = Array.make b.card 0 in
   let k = ref 0 in
   Array.iteri
     (fun w word ->
       let off = b.base + (w * bpw) in
-      let x = ref word and j = ref 0 in
+      let x = ref word in
       while !x <> 0 do
-        if !x land 1 = 1 then begin
-          out.(!k) <- off + !j;
-          incr k
-        end;
-        x := !x lsr 1;
-        incr j
+        out.(!k) <- off + lsb_index !x;
+        incr k;
+        x := !x land (!x - 1)
       done)
     b.words;
   out
@@ -93,8 +98,8 @@ let tbl_exn = function
   | Empty -> invalid_arg "Item_set: empty set has no table"
   | Ids (tbl, _) | Bits (tbl, _) -> tbl
 
-(* Build the canonical bitset for sorted distinct [ids] (known dense). *)
-let make_bits tbl ids =
+(* The bitset spanning exactly the sorted distinct [ids]. *)
+let bits_of_ids ids =
   let n = Array.length ids in
   let lo = ids.(0) and hi = ids.(n - 1) in
   let base = lo - (lo mod bpw) in
@@ -104,7 +109,10 @@ let make_bits tbl ids =
       let k = id - base in
       words.(k / bpw) <- words.(k / bpw) lor (1 lsl (k mod bpw)))
     ids;
-  Bits (tbl, { base; words; card = n })
+  { base; words; card = n }
+
+(* Build the canonical bitset for sorted distinct [ids] (known dense). *)
+let make_bits tbl ids = Bits (tbl, bits_of_ids ids)
 
 (* [ids] strictly increasing; picks the canonical representation. *)
 let of_sorted_ids tbl ids =
@@ -113,9 +121,10 @@ let of_sorted_ids tbl ids =
   else if dense n (ids.(n - 1) - ids.(0) + 1) then make_bits tbl ids
   else Ids (tbl, ids)
 
-(* Canonicalize a freshly computed word array: trim zero words, recount,
-   and fall back to the array form when the result went sparse. *)
-let norm_bits tbl base words =
+(* Canonicalize a freshly computed word array: trim zero words, count
+   (unless the caller already knows the count), and fall back to the
+   array form when the result went sparse. *)
+let norm_bits ?card tbl base words =
   let n = Array.length words in
   let first = ref 0 in
   while !first < n && words.(!first) = 0 do
@@ -132,7 +141,11 @@ let norm_bits tbl base words =
       else Array.sub words !first (!last - !first + 1)
     in
     let base = base + (!first * bpw) in
-    let card = Array.fold_left (fun acc w -> acc + popcount w) 0 words in
+    let card =
+      match card with
+      | Some c -> c
+      | None -> Array.fold_left (fun acc w -> acc + popcount w) 0 words
+    in
     let lo = base + lsb_index words.(0) in
     let hi = base + ((Array.length words - 1) * bpw) + msb_index words.(Array.length words - 1) in
     if dense card (hi - lo + 1) then Bits (tbl, { base; words; card })
@@ -170,6 +183,10 @@ let sort_dedup ids =
   end
 
 let of_ids tbl ids = of_sorted_ids tbl (sort_dedup ids)
+
+let of_words tbl ~base words =
+  if base mod bpw <> 0 then invalid_arg "Item_set.of_words: unaligned base";
+  norm_bits tbl base words
 
 (* ---------- sorted-array kernels ---------- *)
 
@@ -432,6 +449,135 @@ let union_ids_bits tbl (ids : int array) (b : bits) =
     norm_bits tbl base words
   end
 
+(* ---------- delta-sized kernels ----------
+
+   When one operand has at most 1/[delta_ratio] of the other's
+   elements (a change applied to an answer), [union] and [diff] touch
+   only the small side: a sorted array is spliced at binary-searched
+   positions, a bitset's words are copied once and the small side's
+   bits flipped with the count kept. Both hand the untouched large
+   operand back when nothing changes, and both end in the canonical
+   constructors, so results are structurally those of the merge and
+   word kernels. *)
+
+let delta_ratio = 32
+
+(* First index in [a.(from ..)] whose element is [>= x]. *)
+let lower_bound (a : int array) from x =
+  let lo = ref from and hi = ref (Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if a.(mid) < x then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* [big ∪ small] for sorted arrays: find each small id's slot, then
+   build the result from blits of [big] between the slots. *)
+let splice_union (big : int array) (small : int array) =
+  let lb = Array.length big in
+  let slot = Array.make (Array.length small) (-1) in
+  let fresh = ref 0 and from = ref 0 in
+  Array.iteri
+    (fun i x ->
+      let p = lower_bound big !from x in
+      from := p;
+      if p = lb || big.(p) <> x then begin
+        slot.(i) <- p;
+        incr fresh
+      end)
+    small;
+  if !fresh = 0 then big
+  else begin
+    let out = Array.make (lb + !fresh) 0 in
+    let src = ref 0 and dst = ref 0 in
+    Array.iteri
+      (fun i x ->
+        let p = slot.(i) in
+        if p >= 0 then begin
+          Array.blit big !src out !dst (p - !src);
+          dst := !dst + (p - !src);
+          src := p;
+          out.(!dst) <- x;
+          incr dst
+        end)
+      small;
+    Array.blit big !src out !dst (lb - !src);
+    out
+  end
+
+(* [big − small] for sorted arrays: locate the doomed positions, then
+   blit around them. *)
+let splice_diff (big : int array) (small : int array) =
+  let lb = Array.length big in
+  let hit = Array.make (Array.length small) (-1) in
+  let gone = ref 0 and from = ref 0 in
+  Array.iteri
+    (fun i x ->
+      let p = lower_bound big !from x in
+      from := p;
+      if p < lb && big.(p) = x then begin
+        hit.(i) <- p;
+        incr gone
+      end)
+    small;
+  if !gone = 0 then big
+  else begin
+    let out = Array.make (lb - !gone) 0 in
+    let src = ref 0 and dst = ref 0 in
+    Array.iter
+      (fun p ->
+        if p >= 0 then begin
+          Array.blit big !src out !dst (p - !src);
+          dst := !dst + (p - !src);
+          src := p + 1
+        end)
+      hit;
+    Array.blit big !src out !dst (lb - !src);
+    out
+  end
+
+(* [b ∪ ids] for a small sorted [ids]: one copy of the words (widened
+   when ids fall outside them), then set bits, counting the new ones. *)
+let bits_add tbl (b : bits) (ids : int array) =
+  let n = Array.length ids in
+  let base = min b.base (ids.(0) - (ids.(0) mod bpw)) in
+  let top = max (bits_top b) (ids.(n - 1) - (ids.(n - 1) mod bpw) + bpw) in
+  let nwords = (top - base) / bpw in
+  if nwords > (bits_max_spread * (b.card + n) / bpw) + 1 then
+    (* The far ids make the result sparse: splice as arrays. *)
+    of_sorted_ids tbl (splice_union (ids_of_bits b) ids)
+  else begin
+    let words = Array.make nwords 0 in
+    Array.blit b.words 0 words ((b.base - base) / bpw) (Array.length b.words);
+    let card = ref b.card in
+    Array.iter
+      (fun id ->
+        let k = id - base in
+        let w = k / bpw and bit = 1 lsl (k mod bpw) in
+        if words.(w) land bit = 0 then begin
+          words.(w) <- words.(w) lor bit;
+          incr card
+        end)
+      ids;
+    if !card = b.card then Bits (tbl, b) else norm_bits ~card:!card tbl base words
+  end
+
+(* [b − ids] for a small sorted [ids]: copy the words only when some id
+   is present, clear those bits and keep the count. *)
+let bits_remove tbl (b : bits) (ids : int array) =
+  let gone = Array.fold_left (fun k id -> if bit_test b id then k + 1 else k) 0 ids in
+  if gone = 0 then Bits (tbl, b)
+  else begin
+    let words = Array.copy b.words in
+    Array.iter
+      (fun id ->
+        let k = id - b.base in
+        if k >= 0 && k < Array.length words * bpw then
+          words.(k / bpw) <- words.(k / bpw) land lnot (1 lsl (k mod bpw)))
+      ids;
+    norm_bits ~card:(b.card - gone) tbl b.base words
+  end
+
 (* ---------- table compatibility ---------- *)
 
 let remap tbl s =
@@ -461,11 +607,21 @@ let union a b =
     let tbl = tbl_exn a in
     let b = remap tbl b in
     kernel ();
-    (match (a, b) with
-    | Ids (_, ai), Ids (_, bi) -> of_sorted_ids tbl (merge_union ai bi)
-    | Bits (_, ab), Bits (_, bb) -> bits_union tbl ab bb
-    | Ids (_, ai), Bits (_, bb) | Bits (_, bb), Ids (_, ai) -> union_ids_bits tbl ai bb
-    | Empty, _ | _, Empty -> assert false)
+    let add_to big small =
+      match big with
+      | Ids (_, bi) -> of_sorted_ids tbl (splice_union bi (to_ids small))
+      | Bits (_, bb) -> bits_add tbl bb (to_ids small)
+      | Empty -> assert false
+    in
+    let ca = cardinal a and cb = cardinal b in
+    if cb * delta_ratio <= ca then add_to a b
+    else if ca * delta_ratio <= cb then add_to b a
+    else
+      match (a, b) with
+      | Ids (_, ai), Ids (_, bi) -> of_sorted_ids tbl (merge_union ai bi)
+      | Bits (_, ab), Bits (_, bb) -> bits_union tbl ab bb
+      | Ids (_, ai), Bits (_, bb) | Bits (_, bb), Ids (_, ai) -> union_ids_bits tbl ai bb
+      | Empty, _ | _, Empty -> assert false
 
 let inter a b =
   match (a, b) with
@@ -499,6 +655,11 @@ let diff a b =
     let b = remap tbl b in
     kernel ();
     (match (a, b) with
+    | Ids (_, ai), _ when cardinal b * delta_ratio <= Array.length ai ->
+      of_sorted_ids tbl (splice_diff ai (to_ids b))
+    | Bits (_, ab), Ids (_, bi) -> bits_remove tbl ab bi
+    | Bits (_, ab), Bits (_, bb) when bb.card * delta_ratio <= ab.card ->
+      bits_remove tbl ab (ids_of_bits bb)
     | Ids (_, ai), Ids (_, bi) -> of_sorted_ids tbl (merge_diff ai bi)
     | Bits (_, ab), Bits (_, bb) -> bits_diff tbl ab bb
     | Ids (_, ai), Bits (_, bb) ->
@@ -512,15 +673,6 @@ let diff a b =
           end)
         ai;
       of_sorted_ids tbl (if !k = Array.length ai then out else Array.sub out 0 !k)
-    | Bits (_, ab), Ids (_, bi) ->
-      let words = Array.copy ab.words in
-      Array.iter
-        (fun id ->
-          let k = id - ab.base in
-          if k >= 0 && k < Array.length words * bpw then
-            words.(k / bpw) <- words.(k / bpw) land lnot (1 lsl (k mod bpw)))
-        bi;
-      norm_bits tbl ab.base words
     | Empty, _ | _, Empty -> assert false)
 
 let sym_diff a b =
@@ -611,6 +763,13 @@ let compare a b =
   in
   go 0
 
+let words = function
+  | Empty -> (0, [||])
+  | Bits (_, b) -> (b.base, Array.copy b.words)
+  | Ids (_, ids) ->
+    let b = bits_of_ids ids in
+    (b.base, b.words)
+
 let mem_id id = function
   | Empty -> false
   | Ids (_, ids) -> mem_sorted ids id
@@ -631,22 +790,15 @@ let singleton v = of_list [ v ]
 let add v t =
   match t with
   | Empty -> singleton v
-  | _ ->
+  | _ -> (
     let tbl = tbl_exn t in
     let id = Intern.intern tbl v in
     if mem_id id t then t
-    else begin
-      let ids = to_ids t in
-      let n = Array.length ids in
-      let out = Array.make (n + 1) id in
-      let before = ref 0 in
-      while !before < n && ids.(!before) < id do
-        incr before
-      done;
-      Array.blit ids 0 out 0 !before;
-      Array.blit ids !before out (!before + 1) (n - !before);
-      of_sorted_ids tbl out
-    end
+    else
+      match t with
+      | Ids (_, ids) -> of_sorted_ids tbl (splice_union ids [| id |])
+      | Bits (_, b) -> bits_add tbl b [| id |]
+      | Empty -> assert false)
 
 (* Size-aware folds: combining smallest-first keeps intermediates (and
    therefore kernel work) minimal, and an empty intermediate ends an

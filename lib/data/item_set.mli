@@ -28,8 +28,20 @@ val mem : Value.t -> t -> bool
 val add : Value.t -> t -> t
 val cardinal : t -> int
 val union : t -> t -> t
+(** When one operand has at most 1/32 of the other's elements (a change
+    applied to an answer), the work and the allocation are those of
+    splicing the small side into one copy of the large side — a sorted
+    array gets the new ids blitted in at binary-searched slots, a
+    bitset gets its words copied and bits set. The result shares the
+    large operand's storage when the small one adds nothing. Results
+    are in the same canonical form either way. *)
+
 val inter : t -> t -> t
+
 val diff : t -> t -> t
+(** Delta-sized like {!union} when the right operand is at most 1/32
+    of the left, sharing [a]'s storage when no element of [b] is in
+    it. *)
 
 val sym_diff : t -> t -> t
 (** Symmetric difference [(a − b) ∪ (b − a)] as one flat kernel: a
@@ -78,6 +90,21 @@ val of_ids : Intern.t -> int array -> t
 (** Build from ids previously allocated by the given table. Takes
     ownership of the array; sorts and deduplicates as needed (already
     strictly-increasing input is detected and used as-is). *)
+
+val of_words : Intern.t -> base:int -> int array -> t
+(** The set of ids whose bits are set in [words]: bit [j] of
+    [words.(i)] is id [base + i * Sys.int_size + j], and [base] must be
+    a multiple of [Sys.int_size]. Takes ownership of the array, which
+    becomes the set's storage when the ids are dense. Counting and the
+    form choice run a word at a time. *)
+
+val words : t -> int * int array
+(** The inverse of {!of_words}: [(base, words)] with the set's bits,
+    spanning exactly its lowest to highest id, in a fresh array. *)
+
+val mem_id : Intern.id -> t -> bool
+(** Membership of an id of the set's own table: a binary search on the
+    array form, one bit test on the bitset form. *)
 
 val fold_ids : (Intern.id -> 'a -> 'a) -> t -> 'a -> 'a
 (** Fold over ids in increasing {e id} order (not value order). *)

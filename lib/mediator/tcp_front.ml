@@ -145,8 +145,7 @@ let items_text s = String.concat "," (List.map Value.to_string (Item_set.to_list
 
 let push_line (p : S.push) =
   Printf.sprintf "push id=%d seq=%d rows=%d added=%s removed=%s" p.S.pu_sub
-    p.S.pu_seq
-    (Item_set.cardinal p.S.pu_answer)
+    p.S.pu_seq p.S.pu_rows
     (items_text p.S.pu_change.Change.adds)
     (items_text p.S.pu_change.Change.dels)
 

@@ -69,13 +69,21 @@ let to_sql ~union ~merge t =
     List.init (max 0 (n - 1)) (fun i ->
         Printf.sprintf "%s.%s = %s.%s" (alias i) merge (alias (i + 1)) merge)
   in
+  (* A [TRUE] condition is left out: the parser gives a variable with no
+     conjunct of its own [TRUE], while a bare [TRUE] conjunct would
+     attach to every variable. *)
   let conds =
-    List.mapi
-      (fun i c ->
-        let text = Cond.to_string (qualify (alias i) c) in
-        (* A top-level OR would escape its conjunct under SQL precedence. *)
-        match c with Cond.Or _ -> "(" ^ text ^ ")" | _ -> text)
-      (Array.to_list t.conds)
+    List.concat
+      (List.mapi
+         (fun i c ->
+           let text = Cond.to_string (qualify (alias i) c) in
+           (* A top-level OR would escape its conjunct under SQL precedence. *)
+           match c with
+           | Cond.True -> []
+           | Cond.Or _ -> [ "(" ^ text ^ ")" ]
+           | _ -> [ text ])
+         (Array.to_list t.conds))
   in
+  let where = match merge_eqs @ conds with [] -> [ "TRUE" ] | l -> l in
   Printf.sprintf "SELECT %s.%s FROM %s WHERE %s" (alias 0) merge from
-    (String.concat " AND " (merge_eqs @ conds))
+    (String.concat " AND " where)

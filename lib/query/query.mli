@@ -44,4 +44,5 @@ val pp : Format.formatter -> t -> unit
 
 val to_sql : union:string -> merge:string -> t -> string
 (** Renders the query in the paper's SQL form, re-parseable by
-    {!Sql.parse_fusion}. *)
+    {!Sql.parse_fusion} into an equal query. [TRUE] conditions are left
+    out (the parser gives a variable with no conjunct [TRUE]). *)

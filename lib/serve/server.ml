@@ -150,7 +150,7 @@ type push = {
   pu_label : string;
   pu_seq : int;
   pu_change : Change.t;
-  pu_answer : Item_set.t;
+  pu_rows : int;
   pu_at : float;
 }
 
@@ -628,7 +628,7 @@ let subscriptions t =
         si_tenant = s.sub_tenant;
         si_label = s.sub_label;
         si_pushes = s.sub_pushes;
-        si_answer_size = Item_set.cardinal (Maintained.answer s.sub_maintained);
+        si_answer_size = Maintained.cardinal s.sub_maintained;
       })
     t.subs
 
@@ -655,10 +655,15 @@ let source_index t name =
   go 0
 
 (* A delta lands: apply it to the wrapped relation, patch or invalidate
-   the shared answer cache (each completed selection entry is repaired
-   by re-probing only the touched items), then propagate through every
-   standing query and push non-empty answer diffs. Everything after
-   [Delta.apply] costs O(|touched| · consumers), never O(base). *)
+   the shared answer cache, then propagate through every standing query
+   and push non-empty answer diffs. Each completed cache entry is
+   repaired by re-probing only the touched items; the patch itself
+   copies the immutable cached answer once, through the delta-sized
+   [Item_set] union/diff paths. Each standing query flips the bits of
+   its candidate items in place ({!Maintained}), and a push carries the
+   diff plus the answer's row count, never the full set. So besides
+   [Delta.apply] and that one copy per patched entry, everything costs
+   O(|touched| · consumers), never O(base). *)
 let mutate t ~source delta =
   match source_index t source with
   | None -> Error (Printf.sprintf "unknown source %s" source)
@@ -697,7 +702,7 @@ let mutate t ~source delta =
               pu_label = sub.sub_label;
               pu_seq = sub.sub_pushes;
               pu_change = change;
-              pu_answer = Maintained.answer sub.sub_maintained;
+              pu_rows = Maintained.cardinal sub.sub_maintained;
               pu_at = Runtime.now t.rt;
             }
           in

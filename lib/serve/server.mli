@@ -97,7 +97,9 @@ type push = {
   pu_label : string;
   pu_seq : int;  (** per-subscription push sequence, 1-based *)
   pu_change : Fusion_delta.Change.t;  (** the answer diff *)
-  pu_answer : Item_set.t;  (** the full post-change answer *)
+  pu_rows : int;
+      (** the post-change answer's row count — what the wire protocol
+          renders; {!subscription_answer} builds the full set on demand *)
   pu_at : float;
 }
 

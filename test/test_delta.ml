@@ -232,7 +232,7 @@ let mutation_gen =
   QCheck2.Gen.(
     triple Helpers.spec_gen
       (int_range 0 (List.length Optimizer.all - 1))
-      (int_range 1 4))
+      (int_range 1 8))
 
 let mutation_print (spec, i, rounds) =
   Printf.sprintf "%s, %d rounds, %s"
@@ -256,6 +256,25 @@ let random_delta prng instance rel =
   in
   Delta.make ~inserts ~deletes
 
+(* Rows of items interned only after the world was built — what a live
+   source inserts and later retracts. Their ids lie beyond every id the
+   maintained state saw at [create]. Half match every condition (all
+   attributes 0), so they reach the answer; [live.(j)] holds the fresh
+   rows still at source [j], of which the batch retracts some. *)
+let with_fresh prng instance live j (d : Delta.t) =
+  let m = Query.m instance.Workload.query in
+  let inserts =
+    List.init (Prng.int prng 3) (fun _ ->
+        let item = Printf.sprintf "F%06d" (Prng.int prng 1_000_000) in
+        let zero = Prng.int prng 2 = 0 in
+        Tuple.create_exn instance.Workload.schema
+          (Value.String item
+          :: List.init m (fun _ -> Value.Int (if zero then 0 else Prng.int prng 1500))))
+  in
+  let retract, keep = List.partition (fun _ -> Prng.int prng 2 = 0) live.(j) in
+  live.(j) <- inserts @ keep;
+  Delta.make ~inserts:(d.Delta.inserts @ inserts) ~deletes:(d.Delta.deletes @ retract)
+
 let incremental_equals_full =
   Helpers.qtest ~count:30 "incremental maintenance ≡ full re-execution"
     mutation_gen mutation_print (fun (spec, algo_i, rounds) ->
@@ -278,18 +297,21 @@ let incremental_equals_full =
       in
       let prng = Prng.create (spec.Workload.seed + 31) in
       let n = Array.length instance.Workload.sources in
+      let live = Array.make n [] in
       let ok = ref (Item_set.equal (Maintained.answer m) (full ())) in
       for _round = 1 to rounds do
         let j = Prng.int prng n in
         let rel = Source.relation instance.Workload.sources.(j) in
         let before = Maintained.answer m in
-        let _, change = Maintained.mutate m ~source:j (random_delta prng instance rel) in
+        let delta = with_fresh prng instance live j (random_delta prng instance rel) in
+        let _, change = Maintained.mutate m ~source:j delta in
         ok :=
           !ok
           && Item_set.equal (Maintained.answer m) (full ())
           (* the pushed change really is before → after *)
           && Item_set.equal (Change.apply before change) (Maintained.answer m)
           && (Maintained.versions m).(j) = Relation.version rel
+          && Maintained.cardinal m = Item_set.cardinal (Maintained.answer m)
       done;
       !ok)
 
@@ -461,6 +483,124 @@ let matching_row instance item =
   Tuple.create_exn instance.Workload.schema
     (Value.String item
     :: List.init (Query.m instance.Workload.query) (fun _ -> Value.Int 0))
+
+(* --- delta-sized maintenance -------------------------------------------- *)
+
+(* Worlds of [tuples] rows per source under one fixed plan shape: three
+   rounds mixing selections, semijoins, unions and intersections. Low
+   selectivities keep node sets sparse (id arrays), so a whole-set copy
+   costs a word per item. *)
+let sized_world tuples =
+  let instance =
+    Workload.generate
+      {
+        Workload.default_spec with
+        Workload.n_sources = 3;
+        universe = 2 * tuples;
+        tuples_per_source = (tuples, tuples);
+        selectivities = [| 0.1; 0.2; 0.3 |];
+        seed = 17;
+      }
+  in
+  let plan =
+    Builder.round_shaped ~ordering:[| 0; 1; 2 |]
+      ~decisions:
+        Fusion_plan.Plan.
+          [|
+            [| By_select; By_select; By_select |];
+            [| By_select; By_semijoin; By_semijoin |];
+            [| By_semijoin; By_semijoin; By_semijoin |];
+          |]
+  in
+  let m =
+    Helpers.check_ok
+      (Maintained.create ~query:instance.Workload.query
+         ~sources:(Array.to_list instance.Workload.sources)
+         plan)
+  in
+  (instance, plan, m)
+
+(* Minor plus direct major allocation: a whole-set copy of a large
+   answer would bypass the minor heap. *)
+let allocated () =
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
+
+(* One fresh matching row in and out at source 0: the words
+   [source_changed] allocates for the pair, after a warm-up pair. *)
+let maintenance_words tuples =
+  let instance, _, m = sized_world tuples in
+  let rel = Source.relation instance.Workload.sources.(0) in
+  let step item ~insert =
+    let row = matching_row instance item in
+    let d =
+      if insert then Delta.make ~inserts:[ row ] ~deletes:[]
+      else Delta.make ~inserts:[] ~deletes:[ row ]
+    in
+    let touched = (Delta.apply rel d).Delta.touched in
+    let before = Maintained.cardinal m in
+    let w0 = allocated () in
+    let change = Maintained.source_changed m ~source:0 ~touched in
+    let words = allocated () -. w0 in
+    Alcotest.(check int)
+      (Printf.sprintf "%s %s the answer" item (if insert then "enters" else "leaves"))
+      (if insert then 1 else -1)
+      (Maintained.cardinal m - before);
+    Alcotest.(check int) "one-row change" 1 (Change.cardinal change);
+    words
+  in
+  let pair item =
+    let inserted = step item ~insert:true in
+    inserted +. step item ~insert:false
+  in
+  ignore (pair "Zwarm" : float);
+  pair "Zfresh"
+
+let test_maintenance_delta_sized () =
+  let small = maintenance_words 1_000 and large = maintenance_words 10_000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "words per row: %.0f at 1k tuples, %.0f at 10k" small large)
+    true
+    (large < 2.0 *. small)
+
+(* Insert and retract 1000 freshly interned items, each past every id
+   seen so far and far beyond the world's own ids (a block of unrelated
+   values is interned first): the node bitmaps stay within the stated
+   bound of a fresh [create] over the same (restored) data. *)
+let test_maintained_state_bounded () =
+  let instance, plan, m = sized_world 1_000 in
+  let sources = instance.Workload.sources in
+  let tbl = Relation.intern (Source.relation sources.(0)) in
+  for k = 1 to 50_000 do
+    ignore (Intern.intern tbl (Value.String (Printf.sprintf "pad%05d" k)) : int)
+  done;
+  for k = 1 to 1000 do
+    let j = k mod Array.length sources in
+    let rel = Source.relation sources.(j) in
+    let row = matching_row instance (Printf.sprintf "Zfar%04d" k) in
+    List.iter
+      (fun d ->
+        ignore
+          (Maintained.source_changed m ~source:j
+             ~touched:(Delta.apply rel d).Delta.touched
+            : Change.t))
+      [ Delta.make ~inserts:[ row ] ~deletes:[]; Delta.make ~inserts:[] ~deletes:[ row ] ]
+  done;
+  let fresh =
+    Helpers.check_ok
+      (Maintained.create ~query:instance.Workload.query
+         ~sources:(Array.to_list sources) plan)
+  in
+  Alcotest.check Helpers.item_set "answer restored" (Maintained.answer fresh)
+    (Maintained.answer m);
+  let bound =
+    (4 * Maintained.state_words fresh)
+    + (32 * List.length (Fusion_plan.Plan.ops plan))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d state words within %d" (Maintained.state_words m) bound)
+    true
+    (Maintained.state_words m <= bound)
 
 (* --- prepared plans ---------------------------------------------------- *)
 
@@ -648,9 +788,9 @@ let test_server_subscribe_push () =
     Alcotest.(check int) "push seq" 1 p.Serve.pu_seq;
     Alcotest.(check bool) "diff adds the fresh item" true
       (Item_set.mem (Value.String "Zfresh") p.Serve.pu_change.Change.adds);
-    Alcotest.check Helpers.item_set "pushed answer is current"
-      (Option.get (Serve.subscription_answer srv id))
-      p.Serve.pu_answer
+    Alcotest.(check int) "pushed row count is current"
+      (Item_set.cardinal (Option.get (Serve.subscription_answer srv id)))
+      p.Serve.pu_rows
   | l -> Alcotest.failf "expected exactly one push, got %d" (List.length l));
   Alcotest.check Helpers.item_set "maintained answer = full re-execution"
     (Helpers.execute_plan instance optimized.Optimized.plan).Fusion_plan.Exec.answer
@@ -818,6 +958,9 @@ let suite =
     Alcotest.test_case "delta apply" `Quick test_delta_apply;
     rules_prop;
     incremental_equals_full;
+    Alcotest.test_case "maintenance is delta-sized" `Quick test_maintenance_delta_sized;
+    Alcotest.test_case "maintained state stays bounded" `Quick
+      test_maintained_state_bounded;
     persistent_stats_equal_fresh;
     prepared_plans_equal_fresh;
     Alcotest.test_case "prepared plan reuse and staleness" `Quick

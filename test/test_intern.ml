@@ -219,6 +219,96 @@ let hash_consistency_test =
       let fa = eval_flat ta and fb = eval_flat tb in
       (not (Item_set.equal fa fb)) || Item_set.hash fa = Item_set.hash fb)
 
+(* --- delta-sized union/diff paths --------------------------------------- *)
+
+(* One scope with ids equal to the ints they intern, so a generator can
+   place the small operand inside, just past or far beyond the large
+   operand's id span. *)
+let delta_span = 100_000
+
+let delta_tbl =
+  lazy
+    (let tbl = Intern.create ~name:"delta" () in
+     for i = 0 to delta_span do
+       ignore (Intern.intern tbl (Value.Int i))
+     done;
+     tbl)
+
+(* A large operand, dense (bitset) or sparse (array), and a small one of
+   at most 1/32 its size drawn around and beyond it. *)
+let delta_case_gen =
+  let open QCheck2.Gen in
+  let* dense = bool in
+  let* lo = int_range 0 5_000 in
+  let* n = int_range 64 3_000 in
+  let* big =
+    if dense then list_repeat n (int_range lo (lo + (2 * n)))
+    else list_repeat n (int_range lo (lo + (20 * n)))
+  in
+  let top = List.fold_left max lo big in
+  let* k = int_range 1 (max 1 (n / 32)) in
+  let* small =
+    list_repeat k
+      (oneof
+         [
+           oneofl big;
+           int_range lo top;
+           int_range (top + 1) (top + 200);
+           int_range (top + 1) (top + 20_000);
+           int_range 0 (max 0 (lo - 1));
+         ])
+  in
+  return (big, small)
+
+(* The canonical form of a set is a function of its elements alone:
+   rebuilding it from its values must give the same representation. *)
+let canonical tbl s =
+  let rebuilt = Item_set.of_list_in tbl (Item_set.to_list s) in
+  Item_set.equal s rebuilt && Item_set.Debug.repr s = Item_set.Debug.repr rebuilt
+
+let delta_paths_test =
+  Helpers.qtest ~count:150 "delta-sized union/diff ≡ reference, canonical"
+    delta_case_gen
+    (fun (big, small) -> Printf.sprintf "|big|=%d small=%s" (List.length big)
+        (String.concat "," (List.map string_of_int small)))
+    (fun (big, small) ->
+      let tbl = Lazy.force delta_tbl in
+      let vals = List.map (fun i -> Value.Int i) in
+      let fb = Item_set.of_list_in tbl (vals big) in
+      let fs = Item_set.of_list_in tbl (vals small) in
+      let rb = Item_set_ref.of_list (vals big) and rs = Item_set_ref.of_list (vals small) in
+      let check flat reference = agrees flat reference && canonical tbl flat in
+      check (Item_set.union fb fs) (Item_set_ref.union rb rs)
+      && check (Item_set.union fs fb) (Item_set_ref.union rs rb)
+      && check (Item_set.diff fb fs) (Item_set_ref.diff rb rs)
+      && check (Item_set.diff fs fb) (Item_set_ref.diff rs rb)
+      && List.for_all
+           (fun v -> check (Item_set.add v fb) (Item_set_ref.add v rb))
+           (vals (List.filteri (fun i _ -> i < 3) small))
+      (* undoing the change restores the exact original *)
+      && Item_set.equal fb
+           (Item_set.union
+              (Item_set.diff (Item_set.union fb fs) fs)
+              (Item_set.inter fb fs)))
+
+let test_delta_switches_form () =
+  let tbl = Lazy.force delta_tbl in
+  let answer = Item_set.of_list_in tbl (ints 0 4_999) in
+  Alcotest.(check string) "dense answer" "bits" (Item_set.Debug.repr answer);
+  let far = Item_set.of_list_in tbl [ Value.Int 90_000 ] in
+  let grown = Item_set.union answer far in
+  Alcotest.(check string) "a far id makes it sparse" "ids" (Item_set.Debug.repr grown);
+  Alcotest.(check int) "one more row" 5_001 (Item_set.cardinal grown);
+  let back = Item_set.diff grown far in
+  Alcotest.(check string) "removing it makes it dense again" "bits"
+    (Item_set.Debug.repr back);
+  Alcotest.(check bool) "structurally the original" true (Item_set.equal back answer);
+  let near = Item_set.of_list_in tbl [ Value.Int 5_100 ] in
+  Alcotest.(check string) "a near id keeps the bitset" "bits"
+    (Item_set.Debug.repr (Item_set.union answer near));
+  Alcotest.(check bool) "absent ids leave it equal" true
+    (Item_set.equal answer (Item_set.diff answer near))
+
 let suite =
   [
     Alcotest.test_case "intern basics" `Quick test_intern_basics;
@@ -231,4 +321,7 @@ let suite =
     equivalence_test "flat ≡ reference (int/float classes)" mixed_numeric_gen;
     pair_relations_test;
     hash_consistency_test;
+    delta_paths_test;
+    Alcotest.test_case "delta paths switch bits/ids and back" `Quick
+      test_delta_switches_form;
   ]
