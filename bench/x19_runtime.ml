@@ -61,8 +61,10 @@ let equivalence () =
           Fun.protect
             ~finally:(fun () -> Runtime.shutdown rt)
             (fun () ->
-              Exec_async.run_on ~rt ~sources:inst.Workload.sources
-                ~conds:env.Opt_env.conds optimized.Optimized.plan)
+              Exec_async.run_on ~rt
+                (Result.get_ok
+                   (Fusion_plan.Plan_compile.compile ~sources:inst.Workload.sources
+                      ~conds:env.Opt_env.conds optimized.Optimized.plan)))
         in
         [
           Tables.i seed;

@@ -78,7 +78,7 @@ let kill_shard t ~shard =
 
 let reset_meters t = Array.iter (Array.iter Replica.reset_meters) t.grid
 
-(* One Sim.Live lane per (shard, source, replica-slot): replicas of a
+(* One runtime lane per (shard, source, replica-slot): replicas of a
    source are genuinely parallel servers, while requests to the same
    replica queue FIFO behind each other on its lane. *)
 let lanes t = t.shards * n_sources t * t.stride

@@ -71,9 +71,9 @@ val reset_meters : t -> unit
 
 val lanes : t -> int
 val lane : t -> shard:int -> source:int -> replica:int -> int
-(** The {!Fusion_net.Sim.Live} server index of one replica: replicas
-    are genuinely parallel servers, while requests to the same replica
-    queue FIFO behind each other on its lane. *)
+(** The {!Fusion_rt.Runtime} server (lane) index of one replica:
+    replicas are genuinely parallel servers, while requests to the same
+    replica queue FIFO behind each other on its lane. *)
 
 val lane_name : t -> int -> string
 (** ["s<shard>/<source>#<replica>"] — the timeline label of a lane. *)

@@ -3,14 +3,15 @@
    One query, one plan (chosen on the cluster's oracle mediator),
    scattered as Fragment.t to every shard over the wire encoding, and
    executed against the shard's replica groups on one shared
-   [Fusion_rt.Runtime]. On the simulator backend (the default) shards
-   execute sequentially against the discrete-event clock; on a real
-   runtime each fragment runs as its own fibre and replica requests
-   really overlap across lanes. The gather step is
-   Fragment.merge_answers — exact because the shards' slices are
-   disjoint on merge ids.
+   [Fusion_rt.Runtime]. Each shard runs its fragment's compiled plan on
+   an [Exec_async.Engine], the same executor as the single mediator's;
+   on the simulator backend (the default) shards execute sequentially
+   against the discrete-event clock, on a real runtime each fragment
+   runs as its own fibre and replica requests really overlap across
+   lanes. The gather step is Fragment.merge_answers — exact because the
+   shards' slices are disjoint on merge ids.
 
-   The per-request routine is where the distribution machinery lives:
+   The engine's source call is where the distribution machinery lives:
    a routing policy picks the replica to try first, failover cycles
    through the rest of the group (failed attempts still occupy their
    lane and charge their overhead, exactly like the single mediator's
@@ -19,15 +20,16 @@
    predicted finish looks straggler-like. *)
 
 open Fusion_data
-open Fusion_cond
 module Source = Fusion_source.Source
 module Mediator = Fusion_mediator.Mediator
 module Optimizer = Fusion_core.Optimizer
 module Opt_env = Fusion_core.Opt_env
 module Optimized = Fusion_core.Optimized
 module Op = Fusion_plan.Op
-module Plan = Fusion_plan.Plan
 module Fragment = Fusion_plan.Fragment
+module Plan_compile = Fusion_plan.Plan_compile
+module Exec = Fusion_plan.Exec
+module Exec_async = Fusion_plan.Exec_async
 module Sim = Fusion_net.Sim
 module Meter = Fusion_net.Meter
 module Runtime = Fusion_rt.Runtime
@@ -97,10 +99,6 @@ type report = {
   r_critical_path : Analyze.path;
 }
 
-type binding = Items of Item_set.t | Loaded of Relation.t
-
-exception Runtime_error of string
-
 (* The requests every shard issued: task ids, their labels and
    conditions for the critical path, and the slots the runtime returned
    (a real-clock runtime keeps no record per request). *)
@@ -111,138 +109,96 @@ type book = {
   mutable events : Sim.scheduled list; (* newest first *)
 }
 
-(* Execute one fragment against its shard's replica groups. All
-   runtime state (lanes, the request book) is shared across shards;
-   lanes are disjoint per shard so their schedules never interact. *)
-let exec_fragment ~cluster ~(config : Config.t) ~rt ~book ~ctx ~conds fragment =
-  let shard = fragment.Fragment.shard in
-  let plan = fragment.Fragment.plan in
-  let env : (string, binding * float * int list) Hashtbl.t = Hashtbl.create 16 in
-  let failures = ref 0 and failovers = ref 0 in
+(* Run one fragment's compiled plan (against replica 0 of every group)
+   on the engine, with replica routing as its source call. All runtime
+   state (lanes, the request book) is shared across shards; lanes are
+   disjoint per shard so their schedules never interact. *)
+let exec_fragment ~cluster ~(config : Config.t) ~rt ~book ~ctx (shard, cp) =
+  let nodes = Plan_compile.nodes cp in
+  (* The book id of the request that settled each dataflow node: the
+     engine's dependencies are node ids, the shared timeline's are book
+     ids. *)
+  let book_of = Array.make (Array.length nodes) (-1) in
+  let failovers = ref 0 in
   let hedges = ref 0 and hedge_wins = ref 0 in
-  let partial = ref false in
   let shard_makespan = ref 0.0 in
-  let items var =
-    match Hashtbl.find_opt env var with
-    | Some (Items s, avail, prod) -> (s, avail, prod)
-    | Some (Loaded _, _, _) ->
-      raise (Runtime_error (var ^ " is a loaded relation, not an item set"))
-    | None -> raise (Runtime_error ("undefined variable " ^ var))
-  in
-  let loaded var =
-    match Hashtbl.find_opt env var with
-    | Some (Loaded r, avail, prod) -> (r, avail, prod)
-    | Some (Items _, _, _) ->
-      raise (Runtime_error (var ^ " is an item set, not a loaded relation"))
-    | None -> raise (Runtime_error ("undefined variable " ^ var))
-  in
-  let cond i =
-    if i < 0 || i >= Array.length conds then
-      raise (Runtime_error (Printf.sprintf "condition index %d out of range" i));
-    conds.(i)
-  in
-  (* One attempt of a source op at one replica: the fault is drawn (and
-     the overhead charged) when the request is issued; the lane holds
-     the replica for the metered duration either way. *)
-  let try_replica ~op ~source:j ~probe ~ready ~deps ~hedged r =
+  let call (sc : Exec_async.sched) ~ready query =
+    let op, j, _ = nodes.(sc.Exec_async.task) in
+    let deps = List.map (Array.get book_of) sc.Exec_async.deps in
     let group = Cluster.group cluster ~shard ~source:j in
-    let src = Replica.replica group r in
-    let lane = Cluster.lane cluster ~shard ~source:j ~replica:r in
-    (* The thunk touches only the replica source: on a real runtime it
-       runs on the lane's pool worker, where same-lane requests
-       serialize. A failed attempt still occupies the lane for its
-       metered duration, exactly like the single mediator's retry
-       accounting, so it books either way. *)
-    let thunk () =
-      let before = (Source.totals src).Meter.cost in
-      let outcome =
-        match (op : Op.t) with
-        | Select { cond = c; _ } ->
-          (try Ok (Items (fst (Source.select_query src (cond c)))) with
-          | Source.Timeout msg -> Error msg)
-        | Semijoin { cond = c; _ } ->
-          (try Ok (Items (fst (Source.semijoin_query src (cond c) probe))) with
-          | Source.Timeout msg -> Error msg)
-        | Load _ ->
-          (try Ok (Loaded (fst (Source.load_query src))) with
-          | Source.Timeout msg -> Error msg)
-        | _ -> assert false
+    let fails = ref 0 and cost = ref 0.0 in
+    (* One attempt at one replica: the fault is drawn (and the overhead
+       charged) when the request is issued; the lane holds the replica
+       for the metered duration either way. *)
+    let try_replica ~ready ~hedged r =
+      let src = Replica.replica group r in
+      let lane = Cluster.lane cluster ~shard ~source:j ~replica:r in
+      (* The thunk touches only the replica source: on a real runtime it
+         runs on the lane's pool worker, where same-lane requests
+         serialize. A failed attempt still occupies the lane for its
+         metered duration, exactly like the single mediator's retry
+         accounting, so it books either way. *)
+      let thunk () =
+        let before = (Source.totals src).Meter.cost in
+        let outcome = try Ok (query src) with Source.Timeout msg -> Error msg in
+        let duration = (Source.totals src).Meter.cost -. before in
+        ((outcome, duration), duration, true)
       in
-      let duration = (Source.totals src).Meter.cost -. before in
-      (outcome, duration, true)
+      let id = book.next_id in
+      book.next_id <- id + 1;
+      Hashtbl.replace book.labels id
+        (Printf.sprintf "%s %s" (Op.name op) (Cluster.lane_name cluster lane));
+      Hashtbl.replace book.cond_of id
+        (match (op : Op.t) with
+        | Select { cond = c; _ } | Semijoin { cond = c; _ } -> Some c
+        | _ -> None);
+      let (outcome, duration), sched =
+        Runtime.call rt ~id ~server:lane ~ready ~deps thunk
+      in
+      book.events <- sched :: book.events;
+      cost := !cost +. duration;
+      if Trace.active ctx then
+        Trace.span Trace.Request (Op.name op) (fun rctx ->
+            Trace.attrs rctx
+              [
+                ("shard", Trace.Int shard);
+                ("replica", Trace.Int r);
+                ("lane", Trace.Str (Cluster.lane_name cluster lane));
+                ("hedged", Trace.Bool hedged);
+                ("ok", Trace.Bool (Result.is_ok outcome));
+              ]);
+      shard_makespan := max !shard_makespan sched.Sim.finish;
+      (outcome, sched)
     in
-    let id = book.next_id in
-    book.next_id <- id + 1;
-    Hashtbl.replace book.labels id
-      (Printf.sprintf "%s %s" (Op.name op) (Cluster.lane_name cluster lane));
-    Hashtbl.replace book.cond_of id
-      (match (op : Op.t) with
-      | Select { cond = c; _ } | Semijoin { cond = c; _ } -> Some c
-      | _ -> None);
-    let outcome, sched = Runtime.call rt ~id ~server:lane ~ready ~deps thunk in
-    book.events <- sched :: book.events;
-    if Trace.active ctx then
-      Trace.span Trace.Request (Op.name op) (fun rctx ->
-          Trace.attrs rctx
-            [
-              ("shard", Trace.Int shard);
-              ("replica", Trace.Int r);
-              ("lane", Trace.Str (Cluster.lane_name cluster lane));
-              ("hedged", Trace.Bool hedged);
-              ("ok", Trace.Bool (Result.is_ok outcome));
-            ])
-    |> ignore;
-    shard_makespan := max !shard_makespan sched.Sim.finish;
-    (outcome, sched, id)
-  in
-  (* Routed execution of one source op: try the routing order with a
-     budget of [retries] extra attempts, optionally hedging the first
-     attempt onto the best alternative replica. *)
-  let route_op ~op ~source:j ~probe ~ready ~deps =
-    let group = Cluster.group cluster ~shard ~source:j in
+    (* Routed execution: try the routing order with a budget of
+       [retries] extra attempts, optionally hedging the first attempt
+       onto the best alternative replica. Exhaustion settles on the
+       last attempt, available when the failover would have retried. *)
     let order = Replica.order group config.Config.routing in
     let width = List.length order in
     let budget = config.Config.retries + width in
-    let bind_result outcome finish id =
-      match outcome with
-      | Items _ | Loaded _ -> (outcome, finish, [ id ])
-    in
-    let fail_exhausted ~ready ~last_id =
-      match config.Config.on_exhausted with
-      | `Fail -> raise (Source.Timeout (Op.dst op))
-      | `Partial ->
-        partial := true;
-        let empty_binding =
-          match (op : Op.t) with
-          | Select _ | Semijoin _ -> Items Item_set.empty
-          | Load _ ->
-            let src = Replica.replica group 0 in
-            Loaded (Relation.create ~name:(Source.name src) (Source.schema src))
-          | _ -> assert false
-        in
-        (empty_binding, ready, Option.to_list last_id)
-    in
-    let rec failover attempt ~ready ~prev ~last_id =
-      if attempt >= budget then fail_exhausted ~ready ~last_id
-      else begin
+    let rec failover attempt ~ready ~prev ~last =
+      match last with
+      | Some (last : Sim.scheduled) when attempt >= budget ->
+        (None, { last with finish = ready })
+      | _ -> (
         let r = List.nth order (attempt mod width) in
         if attempt > 0 && prev <> Some r then incr failovers;
-        match try_replica ~op ~source:j ~probe ~ready ~deps ~hedged:false r with
-        | Ok v, sched, id ->
+        match try_replica ~ready ~hedged:false r with
+        | Ok v, sched ->
           Replica.note_success group r;
-          bind_result v sched.Sim.finish id
-        | Error _, sched, id ->
-          incr failures;
+          (Some v, sched)
+        | Error _, sched ->
+          incr fails;
           Replica.note_timeout group r;
-          failover (attempt + 1) ~ready:sched.Sim.finish ~prev:(Some r) ~last_id:(Some id)
-      end
+          failover (attempt + 1) ~ready:sched.Sim.finish ~prev:(Some r) ~last:(Some sched))
     in
     (* Hedge decision on the first attempt only: predicted finish from
        lane availability plus the replica's advertised speed. *)
     let hedge_alt primary =
       match config.Config.hedge with
       | None -> None
-      | Some factor when width < 2 -> ignore factor; None
+      | Some _ when width < 2 -> None
       | Some factor ->
         let predicted r =
           let lane = Cluster.lane cluster ~shard ~source:j ~replica:r in
@@ -262,74 +218,54 @@ let exec_fragment ~cluster ~(config : Config.t) ~rt ~book ~ctx ~conds fragment =
         | _ -> None)
     in
     let primary = List.hd order in
-    match hedge_alt primary with
-    | None -> failover 0 ~ready ~prev:None ~last_id:None
-    | Some alt -> (
-      incr hedges;
-      (* The routed replica draws its fault first, then the hedge. *)
-      let op_p, sched_p, id_p = try_replica ~op ~source:j ~probe ~ready ~deps ~hedged:false primary in
-      let op_a, sched_a, id_a = try_replica ~op ~source:j ~probe ~ready ~deps ~hedged:true alt in
-      match op_p, op_a with
-      | Ok vp, Ok va ->
-        Replica.note_success group primary;
-        Replica.note_success group alt;
-        if sched_a.Sim.finish < sched_p.Sim.finish then begin
+    let answer, settled =
+      match hedge_alt primary with
+      | None -> failover 0 ~ready ~prev:None ~last:None
+      | Some alt -> (
+        incr hedges;
+        (* The routed replica draws its fault first, then the hedge. *)
+        let op_p, sched_p = try_replica ~ready ~hedged:false primary in
+        let op_a, sched_a = try_replica ~ready ~hedged:true alt in
+        match op_p, op_a with
+        | Ok vp, Ok va ->
+          Replica.note_success group primary;
+          Replica.note_success group alt;
+          if sched_a.Sim.finish < sched_p.Sim.finish then begin
+            incr hedge_wins;
+            (Some va, sched_a)
+          end
+          else (Some vp, sched_p)
+        | Ok vp, Error _ ->
+          incr fails;
+          Replica.note_success group primary;
+          Replica.note_timeout group alt;
+          (Some vp, sched_p)
+        | Error _, Ok va ->
+          incr fails;
           incr hedge_wins;
-          bind_result va sched_a.Sim.finish id_a
-        end
-        else bind_result vp sched_p.Sim.finish id_p
-      | Ok vp, Error _ ->
-        incr failures;
-        Replica.note_success group primary;
-        Replica.note_timeout group alt;
-        bind_result vp sched_p.Sim.finish id_p
-      | Error _, Ok va ->
-        incr failures;
-        incr hedge_wins;
-        Replica.note_timeout group primary;
-        Replica.note_success group alt;
-        bind_result va sched_a.Sim.finish id_a
-      | Error _, Error _ ->
-        failures := !failures + 2;
-        Replica.note_timeout group primary;
-        Replica.note_timeout group alt;
-        let ready = min sched_p.Sim.finish sched_a.Sim.finish in
-        failover 2 ~ready ~prev:(Some alt) ~last_id:(Some id_a))
+          Replica.note_timeout group primary;
+          Replica.note_success group alt;
+          (Some va, sched_a)
+        | Error _, Error _ ->
+          fails := !fails + 2;
+          Replica.note_timeout group primary;
+          Replica.note_timeout group alt;
+          let ready = min sched_p.Sim.finish sched_a.Sim.finish in
+          failover 2 ~ready ~prev:(Some alt) ~last:(Some sched_a))
+    in
+    book_of.(sc.Exec_async.task) <- settled.Sim.task.Sim.id;
+    (answer, !fails, !cost, settled)
   in
-  let exec_op (op : Op.t) =
-    match op with
-    | Select { dst; source = j; _ } ->
-      let b, avail, prod = route_op ~op ~source:j ~probe:Item_set.empty ~ready:0.0 ~deps:[] in
-      Hashtbl.replace env dst (b, avail, prod)
-    | Semijoin { dst; source = j; input; _ } ->
-      let probe, ready, deps = items input in
-      let b, avail, prod = route_op ~op ~source:j ~probe ~ready ~deps in
-      Hashtbl.replace env dst (b, avail, prod)
-    | Load { dst; source = j } ->
-      let b, avail, prod = route_op ~op ~source:j ~probe:Item_set.empty ~ready:0.0 ~deps:[] in
-      Hashtbl.replace env dst (b, avail, prod)
-    | Local_select { dst; cond = c; input } ->
-      let relation, avail, prod = loaded input in
-      let pred = Cond.compile (Relation.schema relation) (cond c) in
-      Hashtbl.replace env dst (Items (Relation.select_items relation pred), avail, prod)
-    | Union { dst; args } ->
-      let parts = List.map items args in
-      let answer = Item_set.union_list (List.map (fun (s, _, _) -> s) parts) in
-      let avail = List.fold_left (fun a (_, t, _) -> max a t) 0.0 parts in
-      let prod = List.concat_map (fun (_, _, p) -> p) parts in
-      Hashtbl.replace env dst (Items answer, avail, prod)
-    | Inter { dst; args } ->
-      let parts = List.map items args in
-      let answer = Item_set.inter_list (List.map (fun (s, _, _) -> s) parts) in
-      let avail = List.fold_left (fun a (_, t, _) -> max a t) 0.0 parts in
-      let prod = List.concat_map (fun (_, _, p) -> p) parts in
-      Hashtbl.replace env dst (Items answer, avail, prod)
-    | Diff { dst; left; right } ->
-      let l, tl, pl = items left and r, tr, pr = items right in
-      Hashtbl.replace env dst (Items (Item_set.diff l r), max tl tr, pl @ pr)
+  let policy = { Exec.default_policy with on_exhausted = config.Config.on_exhausted } in
+  let e = Exec_async.Engine.create ~call:{ Exec_async.Engine.call } ~policy ~rt cp in
+  let rec drive () =
+    match Exec_async.Engine.pending e with
+    | Some _ ->
+      ignore (Exec_async.Engine.dispatch e);
+      drive ()
+    | None -> ()
   in
-  List.iter exec_op (Plan.ops plan);
-  let answer, _, _ = items (Plan.output plan) in
+  drive ();
   let requests =
     let n = ref 0 in
     for j = 0 to Cluster.n_sources cluster - 1 do
@@ -359,16 +295,16 @@ let exec_fragment ~cluster ~(config : Config.t) ~rt ~book ~ctx ~conds fragment =
   in
   {
     sr_shard = shard;
-    sr_answer = answer;
+    sr_answer = Exec_async.Engine.answer e;
     sr_cost = cost;
     sr_makespan = !shard_makespan;
     sr_busy = busy;
     sr_requests = requests;
-    sr_failures = !failures;
+    sr_failures = Exec_async.Engine.failures e;
     sr_failovers = !failovers;
     sr_hedges = !hedges;
     sr_hedge_wins = !hedge_wins;
-    sr_partial = !partial;
+    sr_partial = Exec_async.Engine.partial e;
   }
 
 let fragments_for ~cluster ~(config : Config.t) query =
@@ -403,12 +339,21 @@ let fragments_for ~cluster ~(config : Config.t) query =
         | Error msg -> Error msg
         | Ok f -> (
           (* The wire round trip: every fragment is encoded and decoded
-             exactly as a remote shard would receive it. *)
-          match Fragment.ship f with
+             exactly as a remote shard would receive it, then compiled
+             against the shard's replica-0 sources. *)
+          let sources =
+            Array.init (Cluster.n_sources cluster) (fun j ->
+                Cluster.replica cluster ~shard ~source:j ~replica:0)
+          in
+          match
+            Result.bind (Fragment.ship f) (fun f ->
+                Result.map (fun cp -> (f, cp))
+                  (Plan_compile.compile ~sources ~conds f.Fragment.plan))
+          with
           | Error msg -> Error ("fragment for shard " ^ string_of_int shard ^ ": " ^ msg)
-          | Ok f -> scatter (shard + 1) (f :: acc))
+          | Ok fc -> scatter (shard + 1) (fc :: acc))
     in
-    Result.map (fun frags -> (optimized, conds, frags)) (scatter 0 [])
+    Result.map (fun frags -> (optimized, frags)) (scatter 0 [])
 
 let run ?(config = Config.default) cluster query =
   Trace.span Trace.Run "coordinator.run" @@ fun ctx ->
@@ -421,7 +366,7 @@ let run ?(config = Config.default) cluster query =
       ];
   match fragments_for ~cluster ~config query with
   | Error msg -> Error msg
-  | Ok (optimized, conds, fragments) -> (
+  | Ok (optimized, compiled) -> (
     Cluster.reset_meters cluster;
     let rt = Runtime.of_spec config.Config.runtime ~servers:(Cluster.lanes cluster) in
     let book =
@@ -437,21 +382,20 @@ let run ?(config = Config.default) cluster query =
         Runtime.run rt (fun () ->
             Fiber.Switch.run (fun sw ->
                 List.map
-                  (fun fragment ->
+                  (fun (f, cp) ->
                     Fiber.Switch.fork_promise sw (fun () ->
-                        exec_fragment ~cluster ~config ~rt ~book ~ctx ~conds
-                          fragment))
-                  fragments
+                        exec_fragment ~cluster ~config ~rt ~book ~ctx
+                          (f.Fragment.shard, cp)))
+                  compiled
                 |> List.map Fiber.Promise.await))
       else
         List.map
-          (fun fragment ->
-            Trace.span (Trace.Phase "shard")
-              (Printf.sprintf "shard %d" fragment.Fragment.shard) (fun sctx ->
-                if Trace.active sctx then
-                  Trace.attr sctx "shard" (Trace.Int fragment.Fragment.shard);
-                exec_fragment ~cluster ~config ~rt ~book ~ctx ~conds fragment))
-          fragments
+          (fun (f, cp) ->
+            let shard = f.Fragment.shard in
+            Trace.span (Trace.Phase "shard") (Printf.sprintf "shard %d" shard) (fun sctx ->
+                if Trace.active sctx then Trace.attr sctx "shard" (Trace.Int shard);
+                exec_fragment ~cluster ~config ~rt ~book ~ctx (shard, cp)))
+          compiled
     in
     match Fun.protect ~finally:(fun () -> Runtime.shutdown rt) exec_all with
     | shard_reports ->
@@ -492,7 +436,7 @@ let run ?(config = Config.default) cluster query =
           r_replica_count = Cluster.stride cluster;
           r_answer = answer;
           r_optimized = optimized;
-          r_fragments = fragments;
+          r_fragments = List.map fst compiled;
           r_shards = shard_reports;
           r_total_cost = List.fold_left (fun a s -> a +. s.sr_cost) 0.0 shard_reports;
           r_makespan = timeline.Sim.makespan;
@@ -526,8 +470,7 @@ let run ?(config = Config.default) cluster query =
       Ok report
     | exception Source.Unsupported msg -> Error ("execution failed: " ^ msg)
     | exception Source.Timeout msg ->
-      Error ("execution failed (all replicas unreachable): " ^ msg)
-    | exception Runtime_error msg -> Error ("execution failed: " ^ msg))
+      Error ("execution failed (all replicas unreachable): " ^ msg))
 
 let run_sql ?config cluster sql =
   match Fusion_query.Sql.parse_fusion ~schema:(Cluster.schema cluster) ~union:"U" sql with

@@ -3,7 +3,11 @@
     One query, one plan — chosen on the cluster's oracle mediator —
     scattered as {!Fusion_plan.Fragment}s to every shard over the wire
     encoding and executed against the shard's replica groups on one
-    shared {!Fusion_net.Sim.Live} network. The gather step is
+    shared {!Fusion_rt.Runtime}, one lane per replica. Each shard
+    compiles its fragment against replica 0 of every group and runs it
+    on an {!Fusion_plan.Exec_async.Engine} whose source call does the
+    replica routing: failover through the group within the retry
+    budget, and optional hedging. The gather step is
     {!Fusion_plan.Fragment.merge_answers}: exact, because hash
     partitioning makes the shards' slices disjoint on merge ids.
 

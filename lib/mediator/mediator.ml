@@ -101,11 +101,11 @@ type execution = {
   x_critical_path : Analyze.path option;
 }
 
-(* Task labels/conditions for the critical path come from the plan's
-   dataflow nodes: timeline task ids index into [Parallel_exec.dataflow]
-   by construction (see Exec_async). *)
-let schedule_analysis plan (r : Fusion_plan.Exec_async.result) =
-  let nodes = Array.of_list (Fusion_plan.Parallel_exec.dataflow plan) in
+(* Task labels/conditions for the critical path come from the compiled
+   plan's dataflow nodes: timeline task ids index into them by
+   construction (see Exec_async). *)
+let schedule_analysis cp (r : Fusion_plan.Exec_async.result) =
+  let nodes = Fusion_plan.Plan_compile.nodes cp in
   let node id = if id >= 0 && id < Array.length nodes then Some nodes.(id) else None in
   let label id =
     match node id with
@@ -204,8 +204,8 @@ let plan_for ?(algo = Config.default.Config.algo) ?(stats = Config.default.Confi
   prepare ~algo ~stats t query
 
 (* Executes a plan through its compiled form: [Plan_compile.run] for
-   sequential simulator runs, [Exec_async] (which compiles internally)
-   for concurrent ones. *)
+   sequential simulator runs, an [Exec_async] engine for concurrent
+   ones. *)
 let execute ?(config = Config.default) t ~conds plan =
   Array.iter Source.reset_meter t.sources;
   let cache = config.Config.cache and policy = Config.policy config in
@@ -222,13 +222,12 @@ let execute ?(config = Config.default) t ~conds plan =
       x_critical_path = None;
     }
   in
-  let concurrent spec =
+  let concurrent spec cp =
     let rt = Runtime.of_spec spec ~servers:(Array.length t.sources) in
     let r =
       Fun.protect
         ~finally:(fun () -> Runtime.shutdown rt)
-        (fun () ->
-          Fusion_plan.Exec_async.run_on ?cache ~policy ~rt ~sources:t.sources ~conds plan)
+        (fun () -> Fusion_plan.Exec_async.run_on ?cache ~policy ~rt cp)
     in
     {
       x_answer = r.Fusion_plan.Exec_async.answer;
@@ -237,27 +236,25 @@ let execute ?(config = Config.default) t ~conds plan =
       x_response_time = r.Fusion_plan.Exec_async.makespan;
       x_failures = r.Fusion_plan.Exec_async.failures;
       x_partial = r.Fusion_plan.Exec_async.partial;
-      x_critical_path = Some (schedule_analysis plan r);
+      x_critical_path = Some (schedule_analysis cp r);
     }
-  in
-  let guarded f =
-    match f () with
-    | x -> Ok x
-    | exception Source.Unsupported msg -> Error ("execution failed: " ^ msg)
-    | exception Source.Timeout msg -> Error ("execution failed (source unreachable): " ^ msg)
-    | exception Fusion_plan.Exec.Runtime_error msg -> Error ("invalid plan: " ^ msg)
-    | exception Invalid_argument msg -> Error msg
   in
   match (config.Config.concurrency, config.Config.runtime) with
   | `Seq, `Domains _ ->
     Error
       "the domains runtime executes concurrently; combine runtime=domains with \
        concurrency `Par (--concurrency par)"
-  | `Seq, `Sim -> (
+  | concurrency, spec -> (
     match Fusion_plan.Plan_compile.compile ~sources:t.sources ~conds plan with
     | Error msg -> Error ("invalid plan: " ^ msg)
-    | Ok cp -> guarded (fun () -> sequential cp))
-  | `Par, spec -> guarded (fun () -> concurrent spec)
+    | Ok cp -> (
+      match if concurrency = `Seq then sequential cp else concurrent spec cp with
+      | x -> Ok x
+      | exception Source.Unsupported msg -> Error ("execution failed: " ^ msg)
+      | exception Source.Timeout msg ->
+        Error ("execution failed (source unreachable): " ^ msg)
+      | exception Fusion_plan.Exec.Runtime_error msg -> Error ("invalid plan: " ^ msg)
+      | exception Invalid_argument msg -> Error msg))
 
 let run_body ~(config : Config.t) ~ctx t query =
   match plan_for ~algo:config.Config.algo ~stats:config.Config.stats t query with

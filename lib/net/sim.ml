@@ -85,53 +85,6 @@ let run ~servers tasks =
   assert (!done_count = total);
   timeline_of !scheduled
 
-(* The incremental face of the same queueing discipline: a live executor
-   discovers task durations only at dispatch time (the answer determines
-   the cost), so instead of a task list we expose the scheduler's state
-   and admit one task at a time. [Sim.run] remains the replay oracle. *)
-module Live = struct
-  type nonrec t = {
-    servers : int;
-    free : float array; (* next instant each server can start new work *)
-    busy : float array; (* accumulated service time per server *)
-    mutable events : scheduled list; (* newest first *)
-  }
-
-  let create ~servers =
-    {
-      servers;
-      free = Array.make (max servers 1) 0.0;
-      busy = Array.make (max servers 1) 0.0;
-      events = [];
-    }
-
-  let free_at t server = t.free.(server)
-
-  let server_count t = t.servers
-
-  let backlog t ~at = Array.map (fun free -> Float.max 0.0 (free -. at)) t.free
-
-  let dispatched t = List.length t.events
-
-  let dispatch t ~id ~server ~ready ~duration ~deps =
-    if server < 0 || server >= t.servers then
-      invalid_arg
-        (Printf.sprintf "Sim.Live.dispatch: task %d targets unknown server %d" id server);
-    if duration < 0.0 then
-      invalid_arg (Printf.sprintf "Sim.Live.dispatch: task %d has negative duration" id);
-    let start = Float.max ready t.free.(server) in
-    let finish = start +. duration in
-    t.free.(server) <- finish;
-    t.busy.(server) <- t.busy.(server) +. duration;
-    let event = { task = { id; server; duration; deps }; start; finish } in
-    t.events <- event :: t.events;
-    event
-
-  let busy t = Array.copy t.busy
-
-  let timeline t = timeline_of t.events
-end
-
 let pp_gantt ?(width = 60) ?(server_name = fun j -> Printf.sprintf "R%d" (j + 1)) ppf t =
   if t.makespan <= 0.0 then Format.fprintf ppf "(empty timeline)"
   else begin

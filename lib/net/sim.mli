@@ -33,7 +33,7 @@ type timeline = {
 val timeline_of : scheduled list -> timeline
 (** Orders scheduled tasks by start time (ties by id) and takes the
     latest finish as the makespan — for callers that collect the slots
-    {!Live.dispatch} (or a runtime call) returned. *)
+    their runtime calls returned. *)
 
 val run : servers:int -> task list -> timeline
 (** Simulates the task set to completion. Tasks become ready the moment
@@ -42,50 +42,6 @@ val run : servers:int -> task list -> timeline
     deterministic). [servers] bounds the valid [server] indexes.
     @raise Invalid_argument on cyclic or dangling dependencies, or
     out-of-range servers. *)
-
-(** The incremental face of the simulator, for {e live} execution where
-    a task's duration is discovered only at dispatch time (the query's
-    answer determines its cost). A [Live.t] holds the same per-server
-    FIFO queueing state as {!run}; the caller is the ready-queue loop
-    and admits tasks one at a time. *)
-module Live : sig
-  type t
-
-  val create : servers:int -> t
-  [@@alert
-    sim_construct
-      "Direct Sim.Live construction is the simulator backend's internals; build \
-       a Fusion_rt.Runtime (Runtime.sim / Runtime.domains) instead."]
-
-  val free_at : t -> int -> float
-  (** Next instant the server can start new work. *)
-
-  val server_count : t -> int
-
-  val backlog : t -> at:float -> float array
-  (** Remaining queued service time per server as seen at instant [at]:
-      [max 0 (free_at - at)]. A serving layer reads this to predict how
-      long a request arriving now would wait — the admission-control
-      signal for load shedding. *)
-
-  val dispatched : t -> int
-  (** Number of tasks dispatched so far. *)
-
-  val dispatch :
-    t -> id:int -> server:int -> ready:float -> duration:float -> deps:int list ->
-    scheduled
-  (** Admits one task: it starts at [max ready (free_at server)], holds
-      the server for [duration], and its completion is recorded on the
-      timeline. [deps] is informational (the ids of the tasks whose
-      completion made this one ready). @raise Invalid_argument on an
-      out-of-range server or negative duration. *)
-
-  val busy : t -> float array
-  (** Accumulated service time per server. *)
-
-  val timeline : t -> timeline
-  (** Everything dispatched so far, in start-time order. *)
-end
 
 val pp_timeline : Format.formatter -> timeline -> unit
 

@@ -37,11 +37,13 @@ module Runtime = Fusion_rt.Runtime
 module Fiber = Fusion_rt.Fiber
 module Query_cache = Exec.Query_cache
 
-(* Where a source-query step sat in the concurrent schedule: its
-   dataflow node id (see [Parallel_exec.dataflow]), serving source and
-   dependencies. [dispatched] is false when the step was answered
-   without occupying the source (cache hit, or joining an in-flight
-   request). Local operations have no schedule slot. *)
+(* Where a source-query step sat in the concurrent schedule: the task
+   id, server and dependencies of the slot its source call settled on
+   (on the default call, the dataflow node id — see
+   [Parallel_exec.dataflow] — and the source index). [dispatched] is
+   false when the step was answered without occupying the source (cache
+   hit, or joining an in-flight request). Local operations have no
+   schedule slot. *)
 type sched = { task : int; server : int; deps : int list; dispatched : bool }
 
 type step = {
@@ -71,6 +73,61 @@ let to_exec_steps steps =
 module Engine = struct
   type request = { rq_op : Op.t; rq_server : int; rq_ready : float; rq_task : int }
 
+  type call = {
+    call :
+      'a.
+      sched -> ready:float -> (Source.t -> 'a) -> 'a option * int * float * Sim.scheduled;
+  }
+
+  (* The default source call: one logical source query issued through
+     the runtime on the source's own lane. The thunk — running on a pool
+     worker under a real-clock backend — touches only the source:
+     attempts run back to back until success, an exhausted retry
+     budget, or an exhausted per-query deadline, and the meter delta is
+     captured on the lane (where same-source requests serialize) for
+     wall-clock calibration. Engine state — the failure counter,
+     caches, bindings — is applied on the driving fibre after the call
+     returns, so the thunk is safe to run on another domain. *)
+  let source_call ~rt ~(policy : Exec.policy) ~deadline sources =
+    let retries = policy.Exec.retries in
+    let fail_fast = policy.Exec.on_exhausted = `Fail in
+    let call sc ~ready f =
+      let s = sources.(sc.server) in
+      let thunk () =
+        let before = Source.totals s in
+        let rec go budget fails =
+          match f s with
+          | v -> (Some v, fails)
+          | exception Source.Timeout _ ->
+            if budget > 0 && (Source.totals s).Meter.cost -. before.Meter.cost < deadline
+            then go (budget - 1) (fails + 1)
+            else (None, fails + 1)
+        in
+        let outcome, fails = go retries 0 in
+        let after = Source.totals s in
+        let delta =
+          {
+            Meter.requests = after.Meter.requests - before.Meter.requests;
+            items_sent = after.Meter.items_sent - before.Meter.items_sent;
+            items_received = after.Meter.items_received - before.Meter.items_received;
+            tuples_received = after.Meter.tuples_received - before.Meter.tuples_received;
+            cost = after.Meter.cost -. before.Meter.cost;
+          }
+        in
+        (* Under [`Fail] the sequential oracle raises before its failed
+           attempt ever reaches the network: don't book it. *)
+        let book = outcome <> None || not fail_fast in
+        ((outcome, fails, delta), delta.Meter.cost, book)
+      in
+      let (outcome, fails, delta), ev =
+        Runtime.call rt ~id:sc.task ~server:sc.server ~ready ~deps:sc.deps thunk
+      in
+      Runtime.observe rt ~server:sc.server ~totals:delta
+        ~wall:(ev.Sim.finish -. ev.Sim.start);
+      (outcome, fails, delta.Meter.cost, ev)
+    in
+    { call }
+
   type t = {
     ops : Op.t array;
     cops : Plan_compile.cop array;
@@ -78,9 +135,8 @@ module Engine = struct
     out : int;
     cache : Query_cache.t option;
     policy : Exec.policy;
-    deadline : float;
+    call : call;
     answers : Answer_cache.t;
-    rt : Runtime.t;
     offset : int;
     base : float;
     (* The engine's own slot frame — the compiled plan's frame is
@@ -96,7 +152,7 @@ module Engine = struct
     mutable partial : bool;
   }
 
-  let create ?cache ?(policy = Exec.default_policy) ?(deadline = infinity) ?answers
+  let create ?call ?cache ?(policy = Exec.default_policy) ?(deadline = infinity) ?answers
       ?(offset = 0) ?(base = 0.0) ~rt cp =
     {
       ops = Plan_compile.ops cp;
@@ -105,9 +161,11 @@ module Engine = struct
       out = Plan_compile.output cp;
       cache;
       policy;
-      deadline;
+      call =
+        (match call with
+        | Some c -> c
+        | None -> source_call ~rt ~policy ~deadline (Plan_compile.sources cp));
       answers = (match answers with Some a -> a | None -> Answer_cache.create ());
-      rt;
       offset;
       base;
       binding = Array.make (Plan_compile.nslots cp) Plan_compile.Unset;
@@ -145,51 +203,6 @@ module Engine = struct
     { task = t.offset + id; server; deps = List.map (fun d -> t.offset + d) deps;
       dispatched = false }
 
-  (* One logical source query issued through the runtime. The thunk —
-     running on a pool worker under a real-clock backend — touches only
-     the source: attempts run back to back until success, an exhausted
-     retry budget, or an exhausted per-query deadline, and the meter
-     delta is captured on the lane (where same-source requests
-     serialize) for wall-clock calibration. Engine state — the failure
-     counter, caches, bindings — is applied on the driving fibre after
-     the call returns, so the thunk is safe to run on another domain. *)
-  let source_call t sc s ~ready f =
-    let retries = t.policy.Exec.retries and deadline = t.deadline in
-    let fail_fast = t.policy.Exec.on_exhausted = `Fail in
-    let thunk () =
-      let before = Source.totals s in
-      let consumed () = (Source.totals s).Meter.cost -. before.Meter.cost in
-      let rec go budget fails =
-        match f () with
-        | v -> (Some v, fails)
-        | exception Source.Timeout _ ->
-          if budget > 0 && consumed () < deadline then go (budget - 1) (fails + 1)
-          else (None, fails + 1)
-      in
-      let outcome, fails = go retries 0 in
-      let after = Source.totals s in
-      let delta =
-        {
-          Meter.requests = after.Meter.requests - before.Meter.requests;
-          items_sent = after.Meter.items_sent - before.Meter.items_sent;
-          items_received = after.Meter.items_received - before.Meter.items_received;
-          tuples_received = after.Meter.tuples_received - before.Meter.tuples_received;
-          cost = after.Meter.cost -. before.Meter.cost;
-        }
-      in
-      (* Under [`Fail] the sequential oracle raises before its failed
-         attempt ever reaches the network: don't book it. *)
-      let book = outcome <> None || not fail_fast in
-      ((outcome, fails, delta), delta.Meter.cost, book)
-    in
-    let (outcome, fails, delta), ev =
-      Runtime.call t.rt ~id:sc.task ~server:sc.server ~ready ~deps:sc.deps thunk
-    in
-    t.failures <- t.failures + fails;
-    Runtime.observe t.rt ~server:sc.server ~totals:delta
-      ~wall:(ev.Sim.finish -. ev.Sim.start);
-    (outcome, delta.Meter.cost, ev)
-
   (* Executes operation [k]; [sched] is the schedule slot of a source
      query, [None] for a local operation. *)
   let exec_op t ctx k sched =
@@ -207,13 +220,16 @@ module Engine = struct
       { op; cost = 0.0; result_size = Item_set.cardinal answer; start = ready; finish;
         coalesced; sched }
     in
-    (* Dispatches the source query. [on_answer] files a successful
-       answer and returns its binding and size; once retries run out
-       under [`Partial] the step binds [empty ()] and marks the answer
-       partial. *)
-    let fetch s dst ~empty call on_answer =
-      let sc = Option.get sched in
-      let outcome, cost, ev = source_call t sc s ~ready call in
+    (* Dispatches the source query through the engine's source call.
+       [on_answer] files a successful answer and returns its binding and
+       size; once the call gives up under [`Partial] the step binds
+       [empty ()] and marks the answer partial. The step's schedule slot
+       is the one the call settled on: on the default call that is the
+       dataflow node itself; a routing call reports its own request ids
+       and lanes. *)
+    let fetch dst ~empty query on_answer =
+      let outcome, fails, cost, ev = t.call.call (Option.get sched) ~ready query in
+      t.failures <- t.failures + fails;
       let value, result_size =
         match outcome with
         | Some v -> on_answer v ev
@@ -223,8 +239,13 @@ module Engine = struct
           (empty (), 0)
       in
       bind t dst value ev.Sim.finish;
+      let task = ev.Sim.task in
       { op; cost; result_size; start = ev.Sim.start; finish = ev.Sim.finish;
-        coalesced = false; sched = Some { sc with dispatched = true } }
+        coalesced = false;
+        sched =
+          Some
+            { task = task.Sim.id; server = task.Sim.server; deps = task.Sim.deps;
+              dispatched = true } }
     in
     let no_items () = Plan_compile.Items Item_set.empty in
     match t.cops.(k) with
@@ -247,8 +268,8 @@ module Engine = struct
       match copy with
       | Some copy -> reused s dst copy
       | None ->
-        fetch s dst ~empty:no_items
-          (fun () -> fst (Source.select_query s cond))
+        fetch dst ~empty:no_items
+          (fun src -> fst (Source.select_query src cond))
           (fun answer ev ->
             Option.iter (fun c -> Query_cache.store c ~sname ~ctext answer) t.cache;
             Query_cache.miss t.cache ctx;
@@ -279,8 +300,8 @@ module Engine = struct
       match derived with
       | Some copy -> reused s ~probe dst copy
       | None ->
-        fetch s dst ~empty:no_items
-          (fun () -> fst (Source.semijoin_query s cond probe))
+        fetch dst ~empty:no_items
+          (fun src -> fst (Source.semijoin_query src cond probe))
           (fun answer _ev ->
             Option.iter
               (fun c -> Query_cache.store_sjq c ~sname ~ctext probe answer)
@@ -288,10 +309,10 @@ module Engine = struct
             Query_cache.miss t.cache ctx;
             (Plan_compile.Items answer, Item_set.cardinal answer)))
     | CLoad { dst; s } ->
-      fetch s dst
+      fetch dst
         ~empty:(fun () ->
           Plan_compile.Loaded (Relation.create ~name:(Source.name s) (Source.schema s)))
-        (fun () -> fst (Source.load_query s))
+        (fun src -> fst (Source.load_query src))
         (fun relation _ev -> (Plan_compile.Loaded relation, Relation.cardinality relation))
     | CLocal { dst; cond; input; state } ->
       local dst (Plan_compile.scan state cond (Plan_compile.loaded t.binding input))
@@ -456,15 +477,13 @@ let collect e rt =
     partial = Engine.partial e;
   }
 
-let run_on ?cache ?policy ?deadline ~rt ~sources ~conds plan =
+let run_on ?cache ?policy ?deadline ~rt cp =
+  let e = Engine.create ?cache ?policy ?deadline ~rt cp in
+  if Runtime.is_real rt then drive_concurrent e rt else drive_sequential e;
+  collect e rt
+
+let run ?cache ?policy ?deadline ~sources ~conds plan =
   match Plan_compile.compile ~sources ~conds plan with
   | Error msg -> raise (Exec.Runtime_error msg)
   | Ok cp ->
-    let e = Engine.create ?cache ?policy ?deadline ~rt cp in
-    if Runtime.is_real rt then drive_concurrent e rt else drive_sequential e;
-    collect e rt
-
-let run ?cache ?policy ?deadline ~sources ~conds plan =
-  run_on ?cache ?policy ?deadline
-    ~rt:(Runtime.sim ~servers:(Array.length sources))
-    ~sources ~conds plan
+    run_on ?cache ?policy ?deadline ~rt:(Runtime.sim ~servers:(Array.length sources)) cp

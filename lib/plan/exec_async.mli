@@ -34,9 +34,12 @@ open Fusion_cond
 open Fusion_source
 
 type sched = {
-  task : int;  (** dataflow node id, aligned with {!Parallel_exec.dataflow} *)
-  server : int;  (** serving source index *)
-  deps : int list;  (** dataflow node ids this query waited on *)
+  task : int;
+      (** task id of the slot the source call settled on; on the
+          default call, the dataflow node id, aligned with
+          {!Parallel_exec.dataflow} *)
+  server : int;  (** serving lane; on the default call, the source index *)
+  deps : int list;  (** task ids this query waited on *)
   dispatched : bool;
       (** [false] when the step was answered without occupying the
           source: a cache hit, or joining an in-flight request *)
@@ -98,7 +101,33 @@ module Engine : sig
 
   type t
 
+  type call = {
+    call :
+      'a.
+      sched ->
+      ready:float ->
+      (Source.t -> 'a) ->
+      'a option * int * float * Fusion_net.Sim.scheduled;
+  }
+  (** How the engine issues a source query it must dispatch.
+      [call.call sched ~ready query] runs [query] against some source
+      for the dataflow node [sched] (its [task] the node id shifted by
+      the engine's offset, [server] the plan's source index, [deps] the
+      feeding nodes, likewise shifted), no earlier than [ready]. It
+      returns the answer ([None] once its attempts are exhausted), the
+      number of failed attempts, the cost charged and the slot that
+      settled the request. The engine keeps the rest: the
+      [`Fail]/[`Partial] decision on [None], the failure count, the
+      partial flag, and the step's schedule slot, which takes its task
+      id, server and dependencies from the returned slot.
+
+      The default call issues the query on the source's own runtime
+      lane, retrying in place up to [policy.retries] times within the
+      [deadline] budget. A sharded coordinator supplies its own, which
+      routes across replicas instead. *)
+
   val create :
+    ?call:call ->
     ?cache:Exec.Query_cache.t ->
     ?policy:Exec.policy ->
     ?deadline:float ->
@@ -117,7 +146,11 @@ module Engine : sig
       per-run request coalescing). [offset] shifts the engine's
       dataflow task ids so timelines of many engines never collide.
       [base] is the instant the query was admitted: no step starts
-      before it. [cache], [policy], [deadline] as in {!run}. *)
+      before it. [call] issues the source queries (see {!call}; the
+      runtime lane by default). [cache], [policy], [deadline] as in
+      {!run}; [policy.retries] and [deadline] apply only to the default
+      call — a supplied [call] keeps its own budget, and [policy] then
+      only decides what an exhausted query does. *)
 
   val pending : t -> request option
   (** Advances through local operations (evaluating them at their ready
@@ -127,8 +160,8 @@ module Engine : sig
 
   val dispatch : t -> step
   (** Executes the pending source query: consults the shared answer
-      cache (join in flight / reuse cached / miss), performs the real
-      source call with retries on a miss, and occupies the shared
+      cache (join in flight / reuse cached / miss) and, on a miss,
+      issues it through the engine's {!call}, occupying the shared
       network. @raise Invalid_argument if no request is pending. *)
 
   val finished : t -> bool
@@ -176,11 +209,10 @@ val run_on :
   ?policy:Exec.policy ->
   ?deadline:float ->
   rt:Fusion_rt.Runtime.t ->
-  sources:Source.t array ->
-  conds:Cond.t array ->
-  Plan.t ->
+  Plan_compile.t ->
   result
-(** {!run} on a caller-supplied runtime. On the simulator backend this
+(** {!run} on a caller-supplied runtime and an already compiled plan
+    (it must not be running on another engine). On the simulator backend this
     is the oracle execution order (requests dispatched in plan order);
     on a real-clock backend the plan runs as a concurrent dataflow —
     one fibre per source query, an op waiting only for the in-flight

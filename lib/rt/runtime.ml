@@ -1,14 +1,13 @@
-(* The execution runtime: one signature, two backends.
+(* The execution runtime: one signature, two backends. The async
+   executor, the serving loop and the distributed coordinator all
+   issue source requests through [Runtime.call]:
 
-   Every layer that used to hard-wire [Fusion_net.Sim.Live] — the
-   async executor, the serving loop, the distributed coordinator —
-   takes a [Runtime.t] instead and calls [Runtime.call] where it used
-   to call [Sim.Live.dispatch]:
-
-   - [sim] is the discrete-event simulator. A call's thunk runs
-     synchronously and reports the model cost it consumed; dispatching
-     that cost as the task duration reproduces today's behaviour
-     byte-for-byte (the oracle the equivalence tests pin).
+   - [sim] is the discrete-event simulator: per-server FIFO queues,
+     admitted one task at a time (the incremental face of [Sim.run],
+     which stays the replay oracle). A call's thunk runs synchronously
+     and reports the model cost it consumed; that cost is the task's
+     service duration, so answers, costs and timelines are
+     deterministic (the oracle the equivalence tests pin).
 
    - [domains] issues the thunk on a {!Pool} worker — one lane per
      server, so requests at one source serialize FIFO exactly like the
@@ -33,8 +32,6 @@
    observation state are mutated without locks (fibres interleave
    cooperatively; worker domains only run thunks and resolve
    suspensions). *)
-
-[@@@alert "-sim_construct"]
 
 module Sim = Fusion_net.Sim
 module Meter = Fusion_net.Meter
@@ -69,12 +66,23 @@ type domains = {
   mutable d_obs : (int * Meter.totals * float) list; (* newest first *)
 }
 
-type backend = Sim_b of Sim.Live.t | Dom_b of domains
+(* The simulator's queueing state: a task starts at the later of its
+   ready instant and its server's [free] instant, and holds the server
+   for its duration. *)
+type simulated = {
+  s_free : float array; (* next instant each server can start new work *)
+  s_busy : float array; (* accumulated service time per server *)
+  mutable s_events : Sim.scheduled list; (* newest first *)
+}
+
+type backend = Sim_b of simulated | Dom_b of domains
 
 type t = backend
 
-let sim ~servers = Sim_b (Sim.Live.create ~servers:(max 1 servers))
-let of_live live = Sim_b live
+let sim ~servers =
+  let servers = max 1 servers in
+  Sim_b
+    { s_free = Array.make servers 0.0; s_busy = Array.make servers 0.0; s_events = [] }
 
 let default_domains () = max 2 (Domain.recommended_domain_count () - 1)
 
@@ -108,24 +116,19 @@ let name t = spec_name (spec t)
 let is_real = function Sim_b _ -> false | Dom_b _ -> true
 
 let server_count = function
-  | Sim_b live -> Sim.Live.server_count live
+  | Sim_b sm -> Array.length sm.s_free
   | Dom_b d -> d.d_servers
 
 let now = function
-  | Sim_b live ->
+  | Sim_b sm ->
     (* The simulator has no global clock; the latest instant any server
        is known to be busy until is the closest notion of "now". *)
-    let n = Sim.Live.server_count live in
-    let t = ref 0.0 in
-    for j = 0 to n - 1 do
-      t := Float.max !t (Sim.Live.free_at live j)
-    done;
-    !t
+    Array.fold_left Float.max 0.0 sm.s_free
   | Dom_b d -> Unix.gettimeofday () -. d.epoch
 
 let free_at t server =
   match t with
-  | Sim_b live -> Sim.Live.free_at live server
+  | Sim_b sm -> sm.s_free.(server)
   | Dom_b d ->
     (* Predicted: outstanding calls times the smoothed call duration —
        the admission-control signal, not an exact schedule. *)
@@ -134,22 +137,18 @@ let free_at t server =
     Float.max n (Float.max d.d_free.(server) n)
     +. (float_of_int d.d_pending.(server) *. est)
 
-let backlog t ~at =
-  match t with
-  | Sim_b live -> Sim.Live.backlog live ~at
-  | Dom_b d ->
-    Array.init d.d_servers (fun j -> Float.max 0.0 (free_at t j -. at))
+let backlog t ~at = Array.init (server_count t) (fun j -> Float.max 0.0 (free_at t j -. at))
 
 let busy = function
-  | Sim_b live -> Sim.Live.busy live
+  | Sim_b sm -> Array.copy sm.s_busy
   | Dom_b d -> Array.copy d.d_busy
 
 let dispatched = function
-  | Sim_b live -> Sim.Live.dispatched live
+  | Sim_b sm -> List.length sm.s_events
   | Dom_b d -> d.d_count
 
 let timeline = function
-  | Sim_b live -> Sim.Live.timeline live
+  | Sim_b sm -> Sim.timeline_of sm.s_events
   | Dom_b d -> { Sim.events = []; makespan = Array.fold_left Float.max 0.0 d.d_free }
 
 (* Run [f] on the pool lane and wait: suspend when called from a fibre,
@@ -176,20 +175,26 @@ let offload d ~lane f =
 
 let call t ~id ~server ~ready ~deps thunk =
   match t with
-  | Sim_b live ->
+  | Sim_b sm ->
+    if server < 0 || server >= Array.length sm.s_free then
+      invalid_arg
+        (Printf.sprintf "Runtime.call: task %d targets unknown server %d" id server);
     let v, cost, book = thunk () in
-    let sched =
-      if book then Sim.Live.dispatch live ~id ~server ~ready ~duration:cost ~deps
-      else
-        (* Never reached the network (e.g. [`Fail] exhaustion raises
-           before dispatch); synthesize the slot without booking it. *)
-        {
-          Sim.task = { Sim.id; server; duration = cost; deps };
-          start = ready;
-          finish = ready +. cost;
-        }
-    in
-    (v, sched)
+    let task = { Sim.id; server; duration = cost; deps } in
+    if book then begin
+      if cost < 0.0 then
+        invalid_arg (Printf.sprintf "Runtime.call: task %d has negative duration" id);
+      let start = Float.max ready sm.s_free.(server) in
+      let sched = { Sim.task; start; finish = start +. cost } in
+      sm.s_free.(server) <- sched.Sim.finish;
+      sm.s_busy.(server) <- sm.s_busy.(server) +. cost;
+      sm.s_events <- sched :: sm.s_events;
+      (v, sched)
+    end
+    else
+      (* Never reached the network (e.g. [`Fail] exhaustion raises
+         before dispatch); synthesize the slot without booking it. *)
+      (v, { Sim.task; start = ready; finish = ready +. cost })
   | Dom_b d ->
     if server < 0 || server >= d.d_servers then
       invalid_arg (Printf.sprintf "Runtime.call: server %d out of range" server);

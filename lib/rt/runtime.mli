@@ -1,15 +1,15 @@
 (** The execution runtime: one request-dispatch signature, two
     backends.
 
-    Executors call {!call} where they used to call
-    [Fusion_net.Sim.Live.dispatch]; the backend decides what a call
-    {e costs}:
+    Executors issue every source request through {!call}; the backend
+    decides what a call {e costs}:
 
     - {!sim} — the discrete-event simulator. The thunk runs
       synchronously, reports the model cost it consumed, and that cost
       becomes the task's service duration on the simulated per-server
-      FIFO network: byte-identical answers, costs and timelines to the
-      pre-runtime code (the oracle for the equivalence tests).
+      FIFO network (the incremental face of {!Fusion_net.Sim.run}):
+      deterministic answers, costs and timelines (the oracle for the
+      equivalence tests).
     - {!domains} — real concurrency. The thunk runs on an OCaml 5
       domain pool with one FIFO lane per server (a source answers one
       query at a time, matching the simulator's queueing model) and the
@@ -37,10 +37,6 @@ val spec_name : spec -> string
 
 val sim : servers:int -> t
 (** A fresh simulated network with [servers] FIFO servers. *)
-
-val of_live : Fusion_net.Sim.Live.t -> t
-(** Wraps an existing simulated network (e.g. a cluster's lane grid)
-    without re-creating it. *)
 
 val domains : ?domains:int -> servers:int -> unit -> t
 (** A real-concurrency runtime: a pool of [domains] worker domains

@@ -22,6 +22,8 @@ module Prng = Fusion_stats.Prng
 module Metrics = Fusion_obs.Metrics
 module Prom = Fusion_obs.Prom
 module Summary = Fusion_obs.Summary
+module Trace = Fusion_obs.Trace
+module Analyze = Fusion_obs.Analyze
 
 let shard_counts = [ 1; 2; 3; 5 ]
 
@@ -161,21 +163,35 @@ let test_single_shard_fault_draws_pinned () =
 
 (* --- churn: dead replicas, dead shards, stragglers ----------------------- *)
 
-let test_failover_survives_dead_primaries () =
+(* The churn drills below take the runtime as an input: on [`Domains]
+   every fragment runs as its own fibre over a real domain pool. Their
+   answers, partial flags and failure counts must not depend on the
+   clock; wall-clock timelines are not compared. *)
+
+let test_failover_survives_dead_primaries runtime () =
   let instance = Workload.generate { Workload.default_spec with seed = 17 } in
   let expected = truth instance in
-  let cluster = cluster_of ~shards:2 ~replicas:2 instance in
-  for shard = 0 to 1 do
-    for j = 0 to Cluster.n_sources cluster - 1 do
-      Cluster.kill cluster ~shard ~source:j ~replica:0
-    done
-  done;
-  let r = coord_run cluster instance in
+  let run runtime =
+    let cluster = cluster_of ~shards:2 ~replicas:2 instance in
+    for shard = 0 to 1 do
+      for j = 0 to Cluster.n_sources cluster - 1 do
+        Cluster.kill cluster ~shard ~source:j ~replica:0
+      done
+    done;
+    coord_run ~config:{ Coordinator.Config.default with Coordinator.Config.runtime }
+      cluster instance
+  in
+  let r = run runtime in
   Alcotest.check Helpers.item_set "failover answer exact" expected
     r.Coordinator.r_answer;
   Alcotest.(check bool) "not partial" false r.Coordinator.r_partial;
   Alcotest.(check bool) "failovers recorded" true (r.Coordinator.r_failovers > 0);
-  Alcotest.(check bool) "failures recorded" true (r.Coordinator.r_failures > 0)
+  Alcotest.(check bool) "failures recorded" true (r.Coordinator.r_failures > 0);
+  let sim = run `Sim in
+  Alcotest.(check int) "failovers as on the simulator" sim.Coordinator.r_failovers
+    r.Coordinator.r_failovers;
+  Alcotest.(check int) "failures as on the simulator" sim.Coordinator.r_failures
+    r.Coordinator.r_failures
 
 let test_replica_killed_mid_scatter () =
   (* The first shard's groups lose their primary, later shards keep
@@ -195,13 +211,13 @@ let test_replica_killed_mid_scatter () =
     (s0.Coordinator.sr_failovers > 0);
   Alcotest.(check int) "healthy shard did not" 0 s1.Coordinator.sr_failovers
 
-let test_dead_shard_partial_answer () =
+let test_dead_shard_partial_answer runtime () =
   let instance = Workload.generate { Workload.default_spec with seed = 23 } in
   let dead = 1 in
   let cluster = cluster_of ~shards:3 instance in
   Cluster.kill_shard cluster ~shard:dead;
   let config =
-    { Coordinator.Config.default with Coordinator.Config.on_exhausted = `Partial }
+    { Coordinator.Config.default with Coordinator.Config.on_exhausted = `Partial; runtime }
   in
   let r = coord_run ~config cluster instance in
   Alcotest.(check bool) "partial flagged" true r.Coordinator.r_partial;
@@ -228,7 +244,14 @@ let test_dead_shard_partial_answer () =
   let dead_report = List.nth r.Coordinator.r_shards dead in
   Alcotest.check Helpers.item_set "dead shard contributes nothing" Item_set.empty
     dead_report.Coordinator.sr_answer;
-  Alcotest.(check bool) "dead shard flagged" true dead_report.Coordinator.sr_partial
+  Alcotest.(check bool) "dead shard flagged" true dead_report.Coordinator.sr_partial;
+  List.iter
+    (fun s ->
+      if s.Coordinator.sr_shard <> dead then
+        Alcotest.(check bool) "alive shard complete" false s.Coordinator.sr_partial)
+    r.Coordinator.r_shards;
+  Alcotest.(check int) "one failure per request of the dead shard"
+    dead_report.Coordinator.sr_requests r.Coordinator.r_failures
 
 let straggler_profile ~shard:_ ~source:_ ~replica profile =
   if replica = 0 then Profile.straggler profile else profile
@@ -306,6 +329,39 @@ let test_same_seed_byte_identical_report () =
   in
   let first = render () and second = render () in
   Alcotest.(check string) "byte-identical report (makespan, busy, path)" first second
+
+(* A sharded run's Step spans carry the shared schedule's request ids,
+   replica lanes and dependencies, so a recorded trace rebuilds the
+   report's critical path — what [fqcli trace critpath] does with a
+   trace file. *)
+let test_trace_rebuilds_critical_path () =
+  let instance = Workload.generate { Workload.default_spec with seed = 47 } in
+  let cluster = cluster_of ~shards:3 ~replicas:2 instance in
+  let collector = Trace.create () in
+  let r = Trace.with_collector collector (fun () -> coord_run cluster instance) in
+  let tasks = Helpers.check_ok (Analyze.tasks_of_spans (Trace.spans collector)) in
+  Alcotest.(check int) "one task per request"
+    (List.length r.Coordinator.r_timeline.Fusion_net.Sim.events)
+    (List.length tasks);
+  let expected = r.Coordinator.r_critical_path and path = Analyze.critical_path tasks in
+  let hops (p : Analyze.path) =
+    List.map
+      (fun h ->
+        let t = h.Analyze.task in
+        let edge =
+          match h.Analyze.edge with
+          | Analyze.Start -> "start"
+          | Analyze.Dep d -> Printf.sprintf "after #%d" d
+          | Analyze.Queue q -> Printf.sprintf "queued behind #%d" q
+        in
+        Printf.sprintf "#%d lane %d %.3f..%.3f %s" t.Analyze.id t.Analyze.server
+          t.Analyze.start t.Analyze.finish edge)
+      p.Analyze.hops
+  in
+  Alcotest.(check bool) "a path of several hops" true (List.length (hops expected) > 1);
+  Alcotest.(check (float 1e-9)) "length" expected.Analyze.total path.Analyze.total;
+  Alcotest.(check (float 1e-9)) "makespan" expected.Analyze.makespan path.Analyze.makespan;
+  Alcotest.(check (list string)) "hops" (hops expected) (hops path)
 
 (* --- partitioning and fragments ------------------------------------------ *)
 
@@ -486,10 +542,14 @@ let suite =
     Alcotest.test_case "1 shard: identical fault draws, identical report" `Quick
       test_single_shard_fault_draws_pinned;
     Alcotest.test_case "failover survives dead primaries" `Quick
-      test_failover_survives_dead_primaries;
+      (test_failover_survives_dead_primaries `Sim);
+    Alcotest.test_case "failover survives dead primaries (domains:2)" `Quick
+      (test_failover_survives_dead_primaries (`Domains 2));
     Alcotest.test_case "replica killed mid-scatter" `Quick test_replica_killed_mid_scatter;
     Alcotest.test_case "dead shard ⇒ partial, alive slices exact" `Quick
-      test_dead_shard_partial_answer;
+      (test_dead_shard_partial_answer `Sim);
+    Alcotest.test_case "dead shard ⇒ partial (domains:2)" `Quick
+      (test_dead_shard_partial_answer (`Domains 2));
     Alcotest.test_case "hedging beats stragglers" `Quick test_hedging_beats_stragglers;
     Alcotest.test_case "hedging never duplicates answers" `Quick
       test_hedging_never_duplicates_answers;
@@ -497,6 +557,8 @@ let suite =
       test_staleness_surfaces_stale_replicas;
     Alcotest.test_case "same seed ⇒ byte-identical report" `Quick
       test_same_seed_byte_identical_report;
+    Alcotest.test_case "a sharded trace rebuilds the critical path" `Quick
+      test_trace_rebuilds_critical_path;
     qcheck_partition_is_a_partition;
     Alcotest.test_case "single-shard slice is the identity" `Quick
       test_single_shard_slice_is_identity;

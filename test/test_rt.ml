@@ -475,7 +475,9 @@ let domains_oracle_agreement (spec, k) =
   let rt = Runtime.domains ~domains:2 ~servers:(Array.length inst.Workload.sources) () in
   let dom =
     Fun.protect ~finally:(fun () -> Runtime.shutdown rt) @@ fun () ->
-    Exec_async.run_on ~rt ~sources:inst.Workload.sources ~conds plan
+    Exec_async.run_on ~rt
+      (Helpers.check_ok
+         (Fusion_plan.Plan_compile.compile ~sources:inst.Workload.sources ~conds plan))
   in
   Item_set.equal dom.Exec_async.answer seq.Exec.answer
   && abs_float (dom.Exec_async.total_cost -. seq.Exec.total_cost) < 1e-6
