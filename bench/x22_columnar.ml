@@ -284,28 +284,30 @@ let run_macro () =
     else if ratio <= 0.10 then "pass"
     else "FAIL"
   in
-  (* The sq/sjq session shape for context: both engines share the
-     answer-set algebra (the intersections and differences ARE the
-     work), so the gap here is the interpreter's per-run env hashing,
-     key rendering and step lists — real but bounded by that shared
-     floor. Printed, not gated. *)
+  (* The sq/sjq session shape for context, through the executor that
+     serves a session cache: the compiled plan on an engine. Both share
+     the answer-set algebra (the intersections and differences ARE the
+     work), so the gap here is the interpreter's per-run env hashing
+     and key rendering against the engine's per-run frame and
+     schedule. Printed, not gated. *)
   let cp = check_ok (Plan_compile.compile ~sources:instance.Workload.sources ~conds plan) in
   let ci = Exec.Query_cache.create () and cc = Exec.Query_cache.create () in
   let interp_session () =
     Array.iter Source.reset_meter instance.Workload.sources;
     (Exec.run ~cache:ci ~sources:instance.Workload.sources ~conds plan).Exec.answer
   in
-  let compiled_session () =
+  let engine_session () =
     Array.iter Source.reset_meter instance.Workload.sources;
-    Plan_compile.answer ~cache:cc cp
+    let rt = Fusion_rt.Runtime.sim ~servers:(Array.length instance.Workload.sources) in
+    (Exec_async.run_on ~cache:cc ~rt cp).Exec_async.answer
   in
   let ws_interp = minor_words interp_session in
-  let ws_compiled = minor_words compiled_session in
-  let session_agree = Item_set.equal (interp_session ()) (compiled_session ()) in
+  let ws_engine = minor_words engine_session in
+  let session_agree = Item_set.equal (interp_session ()) (engine_session ()) in
   Printf.printf
-    "  steady state (warm sq/sjq session): %.0f words/run interpreted, %.0f compiled (ratio %.3f)\n"
-    ws_interp ws_compiled
-    (ws_compiled /. Float.max ws_interp 1.0);
+    "  steady state (warm sq/sjq session): %.0f words/run interpreted, %.0f engine (ratio %.3f)\n"
+    ws_interp ws_engine
+    (ws_engine /. Float.max ws_interp 1.0);
   Tables.print ~title:"X22c: columnar serving loop"
     ~header:[ "scenario"; "answer card"; "cost"; "completed"; "verdict" ]
     [
@@ -325,7 +327,7 @@ let run_macro () =
       ];
       [
         "warm sq/sjq session answers agree";
-        Tables.i (Item_set.cardinal (compiled_session ()));
+        Tables.i (Item_set.cardinal (engine_session ()));
         Tables.f1 optimized.Optimized.est_cost;
         Tables.i rounds;
         (if session_agree then "pass" else "FAIL");

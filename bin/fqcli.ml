@@ -145,22 +145,6 @@ let stats_of_sample sample hist =
   | None, Some buckets -> Opt_env.Histogram buckets
   | None, None -> Opt_env.Exact
 
-let concurrency_conv =
-  let parse = function
-    | "seq" -> Ok `Seq
-    | "par" -> Ok `Par
-    | s -> Error (`Msg (Printf.sprintf "unknown concurrency %S (expected seq or par)" s))
-  in
-  let print ppf c = Format.pp_print_string ppf (match c with `Seq -> "seq" | `Par -> "par") in
-  Arg.conv (parse, print)
-
-let concurrency_arg =
-  let doc =
-    "Execution mode: $(b,seq) runs plan steps one after another, $(b,par) dispatches \
-     source queries concurrently on the simulated network and reports the makespan."
-  in
-  Arg.(value & opt concurrency_conv `Seq & info [ "concurrency" ] ~docv:"MODE" ~doc)
-
 let runtime_conv =
   let parse s =
     Fusion_rt.Runtime.spec_of_string s |> Result.map_error (fun m -> `Msg m)
@@ -170,10 +154,10 @@ let runtime_conv =
 
 let runtime_arg =
   let doc =
-    "Execution runtime: $(b,sim) charges model cost units on the discrete-event \
-     simulator; $(b,domains) (or $(b,domains:N)) dispatches source queries on N \
-     OCaml worker domains and measures wall-clock seconds. The domains backend \
-     executes concurrently, so it requires $(b,--concurrency par)."
+    "Execution runtime: source queries are dispatched concurrently and the run \
+     reports its total cost and makespan. $(b,sim) charges model cost units on the \
+     discrete-event simulator; $(b,domains) (or $(b,domains:N)) dispatches source \
+     queries on N OCaml worker domains and measures wall-clock seconds."
   in
   Arg.(value & opt runtime_conv `Sim & info [ "runtime" ] ~docv:"RT" ~doc)
 
@@ -275,7 +259,7 @@ let run_cmd =
     in
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
   in
-  let action location sql algo sample hist concurrency runtime plan_file trace shards
+  let action location sql algo sample hist runtime plan_file trace shards
       replicas routing hedge verbose =
     setup_logs verbose;
     if shards > 1 || replicas > 1 || hedge <> None then
@@ -291,12 +275,8 @@ let run_cmd =
     report_result
       (let* location = location in
        let* () =
-         match runtime, concurrency, trace with
-         | `Domains _, `Seq, _ ->
-           Error
-             "the domains runtime executes concurrently: combine --runtime domains \
-              with --concurrency par"
-         | `Domains _, _, Some _ ->
+         match runtime, trace with
+         | `Domains _, Some _ ->
            Error
              "--trace spans a single simulated clock and is not available on the \
               domains runtime; drop --trace or use --runtime sim"
@@ -311,46 +291,41 @@ let run_cmd =
                  Mediator.Config.default with
                  Mediator.Config.algo;
                  stats = stats_of_sample sample hist;
-                 concurrency;
                  runtime;
-                 (* Under --concurrency par the report's queue-wait
-                    breakdown needs span data; collect it privately
-                    unless --trace already installs a collector. The
-                    collector's span stack assumes one clock and one
-                    fibre, so skip it on the domains runtime. *)
+                 (* The report's queue-wait breakdown needs span data;
+                    collect it privately unless --trace already
+                    installs a collector. The collector's span stack
+                    assumes one clock and one fibre, so skip it on the
+                    domains runtime. *)
                  trace =
-                   (if concurrency = `Par && trace = None && runtime = `Sim then
+                   (if trace = None && runtime = `Sim then
                       Some (Fusion_obs.Trace.create ())
                     else None);
                }
              in
              let* result = Mediator.select_sql ~config mediator sql in
              Format.printf "%a@." Mediator.pp_report result.Mediator.report;
-             if concurrency = `Par then begin
-               Format.printf "makespan: %.1f (total cost %.1f)@."
-                 result.Mediator.report.Mediator.response_time
-                 result.Mediator.report.Mediator.actual_cost;
-               match
-                 Fusion_obs.Analyze.tasks_of_spans
-                   result.Mediator.report.Mediator.trace
-               with
-               | Ok tasks ->
-                 let sources = Mediator.sources mediator in
-                 let source_name j =
-                   if j >= 0 && j < Array.length sources then
-                     Fusion_source.Source.name sources.(j)
-                   else Printf.sprintf "R%d" (j + 1)
-                 in
-                 List.iter
-                   (fun (l : Fusion_obs.Analyze.source_load) ->
-                     Format.printf
-                       "  %-8s queue-wait %6.1f  (%d requests, busy %.1f)@."
-                       (source_name l.Fusion_obs.Analyze.server)
-                       l.Fusion_obs.Analyze.queue_wait
-                       l.Fusion_obs.Analyze.requests l.Fusion_obs.Analyze.busy)
-                   (Fusion_obs.Analyze.source_loads tasks)
-               | Error _ -> ()
-             end;
+             Format.printf "makespan: %.1f (total cost %.1f)@."
+               result.Mediator.report.Mediator.response_time
+               result.Mediator.report.Mediator.actual_cost;
+             (match
+                Fusion_obs.Analyze.tasks_of_spans result.Mediator.report.Mediator.trace
+              with
+             | Ok tasks ->
+               let sources = Mediator.sources mediator in
+               let source_name j =
+                 if j >= 0 && j < Array.length sources then
+                   Fusion_source.Source.name sources.(j)
+                 else Printf.sprintf "R%d" (j + 1)
+               in
+               List.iter
+                 (fun (l : Fusion_obs.Analyze.source_load) ->
+                   Format.printf "  %-8s queue-wait %6.1f  (%d requests, busy %.1f)@."
+                     (source_name l.Fusion_obs.Analyze.server)
+                     l.Fusion_obs.Analyze.queue_wait l.Fusion_obs.Analyze.requests
+                     l.Fusion_obs.Analyze.busy)
+                 (Fusion_obs.Analyze.source_loads tasks)
+             | Error _ -> ());
              if List.length result.Mediator.columns > 1 then begin
                Format.printf "@.%s@." (String.concat " | " result.Mediator.columns);
                List.iter
@@ -369,7 +344,7 @@ let run_cmd =
              let* query = Fusion_query.Sql.parse_fusion ~schema ~union:"U" sql in
              let text = In_channel.with_open_text path In_channel.input_all in
              let* plan = Fusion_plan.Plan_text.of_string text in
-             let config = { Mediator.Config.default with Mediator.Config.concurrency; runtime } in
+             let config = { Mediator.Config.default with Mediator.Config.runtime } in
              let conds = Fusion_query.Query.conditions query in
              let* x = Mediator.execute ~config mediator ~conds plan in
              Format.printf "pinned plan executed: cost %.1f, answer (%d items): %a@."
@@ -381,18 +356,10 @@ let run_cmd =
   let doc = "run a fusion query over CSV sources" in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(const action $ location_term $ sql_arg $ algo_arg $ sample_arg $ hist_arg
-          $ concurrency_arg $ runtime_arg $ plan_arg $ trace_arg
+          $ runtime_arg $ plan_arg $ trace_arg
           $ shards_arg $ replicas_arg $ routing_arg $ hedge_arg $ verbose_arg)
 
 (* --- explain ------------------------------------------------------------- *)
-
-(* Executes an optimizer-chosen plan the way the mediator does: through
-   its compiled form. *)
-let run_compiled ?cache ~sources ~conds plan =
-  match Fusion_plan.Plan_compile.compile ~sources ~conds plan with
-  | Ok cp -> Fusion_plan.Plan_compile.run ?cache cp
-  | Error msg -> invalid_arg ("the optimizer produced an invalid plan: " ^ msg)
-
 
 let explain_cmd =
   let analyze_arg =
@@ -460,21 +427,16 @@ let explain_cmd =
              Ok ()
            end
            else begin
-             Array.iter Fusion_source.Source.reset_meter (Mediator.sources mediator);
-             match
-               run_compiled ~sources:(Mediator.sources mediator) ~conds:env.Opt_env.conds
-                 optimized.Optimized.plan
-             with
-             | result ->
-               let explain =
-                 Fusion_plan.Explain.analyze ~model:env.Opt_env.model ~est:env.Opt_env.est
-                   ~sources:env.Opt_env.sources ~conds:env.Opt_env.conds
-                   optimized.Optimized.plan result
-               in
-               Format.printf "%a@." (Fusion_plan.Explain.pp ~source_name) explain;
-               Ok ()
-             | exception Fusion_source.Source.Unsupported msg ->
-               Error ("execution failed: " ^ msg)
+             let* x =
+               Mediator.execute mediator ~conds:env.Opt_env.conds optimized.Optimized.plan
+             in
+             let explain =
+               Fusion_plan.Explain.analyze ~model:env.Opt_env.model ~est:env.Opt_env.est
+                 ~sources:env.Opt_env.sources ~conds:env.Opt_env.conds
+                 optimized.Optimized.plan x.Mediator.x_steps
+             in
+             Format.printf "%a@." (Fusion_plan.Explain.pp ~source_name) explain;
+             Ok ()
            end))
   in
   let doc = "optimize only; print the chosen plan and its estimated cost" in
@@ -558,7 +520,6 @@ let profile_cmd =
                  Mediator.Config.default with
                  Mediator.Config.algo;
                  stats = stats_of_sample sample hist;
-                 concurrency = `Par;
                  trace = Some collector;
                }
              in
@@ -577,9 +538,8 @@ let profile_cmd =
                report.Mediator.response_time;
              if report.Mediator.partial then
                Format.printf "warning: answer is partial (a source was unreachable)@.";
-             (match report.Mediator.critical_path with
-             | Some path -> Format.printf "%a@." (Analyze.pp_path ~source_name) path
-             | None -> ());
+             Format.printf "%a@." (Analyze.pp_path ~source_name)
+               report.Mediator.critical_path;
              let* tasks = Analyze.tasks_of_spans report.Mediator.trace in
              if tasks <> [] then begin
                Format.printf "@.%-6s %8s %8s %6s %10s %9s@." "source" "requests" "busy"
@@ -696,7 +656,10 @@ let trace_cmd =
       report_result
         (let* spans, _ = Fusion_obs.Jsonl.read_file file in
          let* tasks = Analyze.tasks_of_spans spans in
-         if tasks = [] then Error "no dispatched source queries in this trace (was it a `Par run?)"
+         if tasks = [] then
+           Error
+             "this trace holds no dispatched source query (every step may have been a \
+              cache hit)"
          else begin
            Format.printf "%a@."
              (fun ppf -> Analyze.pp_path ppf)
@@ -839,22 +802,20 @@ let shell_cmd =
                  Fusion_source.Source.name (Mediator.sources mediator).(j)
                in
                if not analyze then Format.printf "%a@." (Optimized.pp ~source_name) optimized
-               else begin
-                 Array.iter Fusion_source.Source.reset_meter (Mediator.sources mediator);
+               else
                  match
-                   run_compiled ~cache ~sources:(Mediator.sources mediator)
-                     ~conds:env.Opt_env.conds optimized.Optimized.plan
+                   Mediator.execute
+                     ~config:{ Mediator.Config.default with Mediator.Config.cache = Some cache }
+                     mediator ~conds:env.Opt_env.conds optimized.Optimized.plan
                  with
-                 | result ->
+                 | Ok x ->
                    let e =
                      Fusion_plan.Explain.analyze ~model:env.Opt_env.model
                        ~est:env.Opt_env.est ~sources:env.Opt_env.sources
-                       ~conds:env.Opt_env.conds optimized.Optimized.plan result
+                       ~conds:env.Opt_env.conds optimized.Optimized.plan x.Mediator.x_steps
                    in
                    Format.printf "%a@." (Fusion_plan.Explain.pp ~source_name) e
-                 | exception Fusion_source.Source.Unsupported msg ->
-                   Format.printf "error: %s@." msg
-               end)
+                 | Error msg -> Format.printf "error: %s@." msg)
            in
            let run sql =
              match

@@ -73,7 +73,7 @@ let () =
   let explain =
     Explain.analyze ~model:env.Opt_env.model ~est:env.Opt_env.est
       ~sources:env.Opt_env.sources ~conds:env.Opt_env.conds optimized.Optimized.plan
-      result
+      result.Exec.steps
   in
   Format.printf "=== explain analyze (SJA, estimated / actual) ===@.%a@.@."
     (Explain.pp ?source_name:None)

@@ -42,8 +42,6 @@ let schema t = Source.schema t.sources.(0)
 let sources t = t.sources
 
 module Config = struct
-  type concurrency = [ `Seq | `Par ]
-
   type t = {
     algo : Optimizer.algo;
     stats : Opt_env.stats_mode;
@@ -51,7 +49,6 @@ module Config = struct
     retries : int;
     on_exhausted : [ `Fail | `Partial ];
     trace : Trace.collector option;
-    concurrency : concurrency;
     runtime : Runtime.spec;
   }
 
@@ -63,7 +60,6 @@ module Config = struct
       retries = 0;
       on_exhausted = `Fail;
       trace = None;
-      concurrency = `Seq;
       runtime = `Sim;
     }
 
@@ -80,9 +76,8 @@ type report = {
   per_source : (string * Fusion_net.Meter.totals) list;
   failures : int;
   partial : bool;
-  critical_path : Analyze.path option;
-      (* The dependency/queue chain that set the response time; [Some]
-         only under [`Par] (sequential runs have no schedule). *)
+  critical_path : Analyze.path;
+      (* The dependency/queue chain that set the response time. *)
   cost_drift : float;
       (* actual cost / estimated cost — how honest the optimizer's cost
          model was on this run (NaN when the estimate was 0). *)
@@ -98,7 +93,7 @@ type execution = {
   x_response_time : float;
   x_failures : int;
   x_partial : bool;
-  x_critical_path : Analyze.path option;
+  x_critical_path : Analyze.path;
 }
 
 (* Task labels/conditions for the critical path come from the compiled
@@ -203,58 +198,37 @@ let plan_for ?(algo = Config.default.Config.algo) ?(stats = Config.default.Confi
     t query =
   prepare ~algo ~stats t query
 
-(* Executes a plan through its compiled form: [Plan_compile.run] for
-   sequential simulator runs, an [Exec_async] engine for concurrent
-   ones. *)
+(* Every execution is one compiled engine run on the configured
+   runtime: [total_cost] is the paper's total work, the makespan the
+   response time. *)
 let execute ?(config = Config.default) t ~conds plan =
   Array.iter Source.reset_meter t.sources;
-  let cache = config.Config.cache and policy = Config.policy config in
-  let sequential cp =
-    let r = Fusion_plan.Plan_compile.run ?cache ~policy cp in
-    {
-      x_answer = r.Fusion_plan.Exec.answer;
-      x_steps = r.Fusion_plan.Exec.steps;
-      x_cost = r.Fusion_plan.Exec.total_cost;
-      (* Sequential: the query takes as long as its total work. *)
-      x_response_time = r.Fusion_plan.Exec.total_cost;
-      x_failures = r.Fusion_plan.Exec.failures;
-      x_partial = r.Fusion_plan.Exec.partial;
-      x_critical_path = None;
-    }
-  in
-  let concurrent spec cp =
-    let rt = Runtime.of_spec spec ~servers:(Array.length t.sources) in
-    let r =
+  match Fusion_plan.Plan_compile.compile ~sources:t.sources ~conds plan with
+  | Error msg -> Error ("invalid plan: " ^ msg)
+  | Ok cp -> (
+    match
+      let rt = Runtime.of_spec config.Config.runtime ~servers:(Array.length t.sources) in
       Fun.protect
         ~finally:(fun () -> Runtime.shutdown rt)
-        (fun () -> Fusion_plan.Exec_async.run_on ?cache ~policy ~rt cp)
-    in
-    {
-      x_answer = r.Fusion_plan.Exec_async.answer;
-      x_steps = Fusion_plan.Exec_async.to_exec_steps r.Fusion_plan.Exec_async.steps;
-      x_cost = r.Fusion_plan.Exec_async.total_cost;
-      x_response_time = r.Fusion_plan.Exec_async.makespan;
-      x_failures = r.Fusion_plan.Exec_async.failures;
-      x_partial = r.Fusion_plan.Exec_async.partial;
-      x_critical_path = Some (schedule_analysis cp r);
-    }
-  in
-  match (config.Config.concurrency, config.Config.runtime) with
-  | `Seq, `Domains _ ->
-    Error
-      "the domains runtime executes concurrently; combine runtime=domains with \
-       concurrency `Par (--concurrency par)"
-  | concurrency, spec -> (
-    match Fusion_plan.Plan_compile.compile ~sources:t.sources ~conds plan with
-    | Error msg -> Error ("invalid plan: " ^ msg)
-    | Ok cp -> (
-      match if concurrency = `Seq then sequential cp else concurrent spec cp with
-      | x -> Ok x
-      | exception Source.Unsupported msg -> Error ("execution failed: " ^ msg)
-      | exception Source.Timeout msg ->
-        Error ("execution failed (source unreachable): " ^ msg)
-      | exception Fusion_plan.Exec.Runtime_error msg -> Error ("invalid plan: " ^ msg)
-      | exception Invalid_argument msg -> Error msg))
+        (fun () ->
+          Fusion_plan.Exec_async.run_on ?cache:config.Config.cache
+            ~policy:(Config.policy config) ~rt cp)
+    with
+    | r ->
+      Ok
+        {
+          x_answer = r.Fusion_plan.Exec_async.answer;
+          x_steps = Fusion_plan.Exec_async.to_exec_steps r.Fusion_plan.Exec_async.steps;
+          x_cost = r.Fusion_plan.Exec_async.total_cost;
+          x_response_time = r.Fusion_plan.Exec_async.makespan;
+          x_failures = r.Fusion_plan.Exec_async.failures;
+          x_partial = r.Fusion_plan.Exec_async.partial;
+          x_critical_path = schedule_analysis cp r;
+        }
+    | exception Source.Unsupported msg -> Error ("execution failed: " ^ msg)
+    | exception Source.Timeout msg -> Error ("execution failed (source unreachable): " ^ msg)
+    | exception Fusion_plan.Exec.Runtime_error msg -> Error ("invalid plan: " ^ msg)
+    | exception Invalid_argument msg -> Error msg)
 
 let run_body ~(config : Config.t) ~ctx t query =
   match plan_for ~algo:config.Config.algo ~stats:config.Config.stats t query with
@@ -420,15 +394,14 @@ let pp_report ppf r =
     (fun (name, totals) ->
       Format.fprintf ppf "@,%s: %a" name Fusion_net.Meter.pp_totals totals)
     r.per_source;
-  (match r.critical_path with
-  | Some path when path.Analyze.hops <> [] ->
+  if r.critical_path.Analyze.hops <> [] then begin
     let source_name j =
       match List.nth_opt r.per_source j with
       | Some (name, _) -> name
       | None -> Printf.sprintf "R%d" (j + 1)
     in
-    Format.fprintf ppf "@,%a" (Analyze.pp_path ~source_name) path
-  | _ -> ());
+    Format.fprintf ppf "@,%a" (Analyze.pp_path ~source_name) r.critical_path
+  end;
   Format.fprintf ppf "@]"
 
 (* Serving mode: many queries multiplexed onto one shared network.

@@ -27,12 +27,11 @@ val sources : t -> Source.t array
 
 (** How a query is processed, in one place. Every entry point takes one
     optional [?config]; build variations with record update:
-    [{ Config.default with Config.algo = Optimizer.Filter }]. *)
+    [{ Config.default with Config.algo = Optimizer.Filter }]. Every run
+    compiles the chosen plan with {!Fusion_plan.Plan_compile} and
+    executes it as one {!Fusion_plan.Exec_async} engine run on
+    [runtime]. *)
 module Config : sig
-  type concurrency =
-    [ `Seq  (** one step at a time: elapsed time = total cost *)
-    | `Par  (** live concurrent execution on {!Fusion_plan.Exec_async} *) ]
-
   type t = {
     algo : Optimizer.algo;  (** optimization algorithm (default SJA+) *)
     stats : Opt_env.stats_mode;  (** statistics backing the optimizer *)
@@ -42,21 +41,15 @@ module Config : sig
     on_exhausted : [ `Fail | `Partial ];  (** when retries run out *)
     trace : Fusion_obs.Trace.collector option;
         (** collector installed for the duration of each run *)
-    concurrency : concurrency;
     runtime : Fusion_rt.Runtime.spec;
-        (** execution backend for [`Par] runs and serving: [`Sim]
-            (default) is the discrete-event simulator, [`Domains n]
-            executes on a real domain pool with wall-clock latencies.
-            [`Domains _] with [`Seq] is rejected: the sequential
-            executor has nothing to run concurrently. *)
+        (** execution backend for runs and serving: [`Sim] (default)
+            is the discrete-event simulator, [`Domains n] executes on a
+            real domain pool with wall-clock latencies. *)
   }
 
   val default : t
   (** SJA+, exact statistics, no cache, no retries ([`Fail]), no
-      tracing, sequential execution on the simulator. Sequential runs
-      compile the plan with {!Fusion_plan.Plan_compile} and run the
-      compiled form; concurrent ones run it on
-      {!Fusion_plan.Exec_async}, which compiles it the same way. *)
+      tracing, on the simulator. *)
 
   val policy : t -> Fusion_plan.Exec.policy
   (** The executor fault policy the config denotes. *)
@@ -66,18 +59,18 @@ type report = {
   algo : Optimizer.algo;
   optimized : Optimized.t;  (** the plan and its estimated cost *)
   answer : Item_set.t;
-  actual_cost : float;  (** total work charged at the sources *)
+  actual_cost : float;
+      (** total work charged at the sources: the paper's plan cost *)
   response_time : float;
-      (** elapsed time on the simulated clock: equals [actual_cost]
-          under [`Seq], the concurrent makespan under [`Par] *)
+      (** the run's makespan with source queries overlapped: simulated
+          time on [`Sim], wall-clock seconds on [`Domains _] *)
   steps : Fusion_plan.Exec.step list;
   per_source : (string * Fusion_net.Meter.totals) list;
       (** actual traffic per source, this query only *)
   failures : int;  (** timed-out requests (retried or not) *)
   partial : bool;  (** answer may be incomplete (see {!Fusion_plan.Exec.result}) *)
-  critical_path : Fusion_obs.Analyze.path option;
-      (** the dependency/queue chain that set [response_time]; [Some]
-          only under [`Par] — sequential runs have no schedule *)
+  critical_path : Fusion_obs.Analyze.path;
+      (** the dependency/queue chain that set [response_time] *)
   cost_drift : float;
       (** [actual_cost /. est_cost]: how honest the optimizer's cost
           model was on this run (NaN when the estimate was 0) *)
@@ -116,7 +109,7 @@ type execution = {
   x_response_time : float;
   x_failures : int;
   x_partial : bool;
-  x_critical_path : Fusion_obs.Analyze.path option;
+  x_critical_path : Fusion_obs.Analyze.path;
 }
 
 val execute :
@@ -126,9 +119,9 @@ val execute :
   Fusion_plan.Plan.t ->
   (execution, string) result
 (** The execution half of {!run}, for an already chosen plan (the
-    optimizer's, or a pinned plan text): resets the source meters and
-    runs the plan under [config]'s concurrency, runtime, cache and
-    retry policy. A plan that fails {!Fusion_plan.Plan_compile.compile}
+    optimizer's, or a pinned plan text): resets the source meters,
+    compiles the plan once and runs it on an engine over
+    [config]'s runtime, with its cache and retry policy. A plan that fails {!Fusion_plan.Plan_compile.compile}
     (out-of-range index, undefined or mistyped variable) is an
     [Error], as are unsupported source operations and, under [`Fail],
     unreachable sources. *)
@@ -185,8 +178,8 @@ val pp_report : Format.formatter -> report -> unit
     [Config.stats], retry policy all honored); the optimizer's cost
     estimate becomes the job's scheduling weight ([Sjf]) and
     admission-control signal. A single submitted query served under
-    the [Fifo] policy executes byte-identically to
-    [run ~config:{config with concurrency = `Par}].
+    the [Fifo] policy executes byte-identically to [run ~config]
+    without a [Config.cache].
 
     {b Prepared plans.} Submissions and subscriptions share one
     planning head ({!plan_for}'s) behind a prepared-plan table. Its key
@@ -219,9 +212,10 @@ module Server : sig
     mediator ->
     t
   (** [config] drives per-submission optimization and the retry policy
-      ({!Config.default} if omitted; its [concurrency] and [trace]
-      fields are ignored — serving is always concurrent). Remaining
-      options as in {!Fusion_serve.Server.create}. *)
+      ({!Config.default} if omitted). Its [trace] field is ignored, and
+      so is [cache]: served answers are reused through the server's
+      own answer cache ([cache_ttl]). Remaining options as in
+      {!Fusion_serve.Server.create}. *)
 
   val submit :
     t ->

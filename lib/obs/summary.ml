@@ -22,14 +22,11 @@ type run = {
 type t = {
   mutable runs : run list; (* newest first *)
   buckets : int;
-  label : string option;
 }
 
-let create ?(buckets = 128) ?label () =
+let create ?(buckets = 128) () =
   if buckets <= 0 then invalid_arg "Summary.create: buckets must be positive";
-  { runs = []; buckets; label }
-
-let label t = t.label
+  { runs = []; buckets }
 
 let add t ?(plan = "") ?est_cost ~cost ~response_time () =
   t.runs <- { plan; cost; response_time; est_cost } :: t.runs
@@ -126,7 +123,6 @@ let pp_percentiles ppf p =
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>";
-  Option.iter (fun l -> Format.fprintf ppf "[%s]@," l) t.label;
   Format.fprintf ppf "latency:  %a@,cost:     %a" pp_percentiles
     (latency_percentiles t) pp_percentiles (cost_percentiles t);
   List.iter

@@ -16,12 +16,8 @@ type run = {
 
 type t
 
-val create : ?buckets:int -> ?label:string -> unit -> t
-(** [buckets] (default 128) sets percentile resolution. [label] names
-    the summary in {!pp} output (e.g. the shard a serving summary
-    belongs to); it does not affect any number. *)
-
-val label : t -> string option
+val create : ?buckets:int -> unit -> t
+(** [buckets] (default 128) sets percentile resolution. *)
 
 val add :
   t -> ?plan:string -> ?est_cost:float -> cost:float -> response_time:float ->

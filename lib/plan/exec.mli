@@ -58,8 +58,9 @@ module Query_cache : sig
 
   (** {2 Executor-internal operations}
 
-      The lookup/fill protocol shared by the sequential {!run},
-      {!Plan_compile} and the concurrent {!Exec_async}. Not meant for
+      The lookup/fill protocol shared by the reference {!run} and the
+      {!Exec_async} engine, the one executor that serves a session
+      cache. Not meant for
       application code — going through these by hand desynchronizes
       the hit/miss statistics from any executor's accounting. Keys are
       the source name and the rendered condition text. *)

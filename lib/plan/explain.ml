@@ -9,8 +9,8 @@ type line = {
 
 type t = { lines : line list; est_total : float; actual_total : float }
 
-let analyze ~model ~est ~sources ~conds plan (result : Exec.result) =
-  if List.length (Plan.ops plan) <> List.length result.Exec.steps then
+let analyze ~model ~est ~sources ~conds plan (steps : Exec.step list) =
+  if List.length (Plan.ops plan) <> List.length steps then
     invalid_arg "Explain.analyze: execution does not match the plan";
   let estimate = Plan_cost.estimate ~model ~est ~sources ~conds plan in
   (* Plan_cost.sizes only keeps final bindings; recover per-step size
@@ -31,12 +31,12 @@ let analyze ~model ~est ~sources ~conds plan (result : Exec.result) =
           est_size = size_of (Op.dst step.Exec.op);
           actual_size = step.Exec.result_size;
         })
-      result.Exec.steps
+      steps
   in
   {
     lines;
     est_total = estimate.Plan_cost.total;
-    actual_total = result.Exec.total_cost;
+    actual_total = List.fold_left (fun acc step -> acc +. step.Exec.cost) 0.0 steps;
   }
 
 let pp ?source_name ppf t =

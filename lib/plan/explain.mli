@@ -26,10 +26,11 @@ val analyze :
   sources:Source.t array ->
   conds:Cond.t array ->
   Plan.t ->
-  Exec.result ->
+  Exec.step list ->
   t
-(** Pairs {!Plan_cost} estimates with an execution's steps. The
-    execution must be of the same plan (checked by length). *)
+(** Pairs {!Plan_cost} estimates with an execution's steps, in plan
+    order; the actual total is their cost sum. The steps must be of
+    the same plan (checked by length). *)
 
 val pp : ?source_name:(int -> string) -> Format.formatter -> t -> unit
 (** Renders an aligned table:

@@ -2,7 +2,6 @@ open Fusion_data
 open Fusion_cond
 open Fusion_source
 module Trace = Fusion_obs.Trace
-module Query_cache = Exec.Query_cache
 
 type slot = Unset | Items of Item_set.t | Loaded of Relation.t
 
@@ -127,7 +126,7 @@ let loaded slots i =
 
 let items_of_args slots args = Array.to_list (Array.map (items slots) args)
 
-let exec ?cache ?(policy = Exec.default_policy) ~record_steps t =
+let exec ?(policy = Exec.default_policy) ~record_steps t =
   let { Exec.retries; on_exhausted } = policy in
   Array.fill t.slots 0 (Array.length t.slots) Unset;
   let failures = ref 0 in
@@ -137,38 +136,16 @@ let exec ?cache ?(policy = Exec.default_policy) ~record_steps t =
       (fun acc s -> acc +. (Source.totals s).Fusion_net.Meter.cost)
       0.0 t.sources
   in
-  let exec_cop ctx cop =
+  let exec_cop cop =
     match cop with
-    | CSelect { dst; s; cond; sname; ctext } -> (
-      match Option.bind cache (fun c -> Query_cache.find c ~sname ~ctext) with
-      | Some answer ->
-        Query_cache.hit cache ctx s answer;
-        t.slots.(dst) <- Items answer;
-        (0.0, Item_set.cardinal answer)
-      | None ->
-        let answer, cost = Source.select_query s cond in
-        Option.iter (fun c -> Query_cache.store c ~sname ~ctext answer) cache;
-        Query_cache.miss cache ctx;
-        t.slots.(dst) <- Items answer;
-        (cost, Item_set.cardinal answer))
-    | CSemijoin { dst; s; cond; input; sname; ctext } -> (
-      let probe = items t.slots input in
-      let cached =
-        match Option.bind cache (fun c -> Query_cache.find c ~sname ~ctext) with
-        | Some full -> Some (Item_set.inter full probe)
-        | None -> Option.bind cache (fun c -> Query_cache.find_sjq c ~sname ~ctext probe)
-      in
-      match cached with
-      | Some answer ->
-        Query_cache.hit cache ctx s ~probe answer;
-        t.slots.(dst) <- Items answer;
-        (0.0, Item_set.cardinal answer)
-      | None ->
-        let answer, cost = Source.semijoin_query s cond probe in
-        Option.iter (fun c -> Query_cache.store_sjq c ~sname ~ctext probe answer) cache;
-        Query_cache.miss cache ctx;
-        t.slots.(dst) <- Items answer;
-        (cost, Item_set.cardinal answer))
+    | CSelect { dst; s; cond; _ } ->
+      let answer, cost = Source.select_query s cond in
+      t.slots.(dst) <- Items answer;
+      (cost, Item_set.cardinal answer)
+    | CSemijoin { dst; s; cond; input; _ } ->
+      let answer, cost = Source.semijoin_query s cond (items t.slots input) in
+      t.slots.(dst) <- Items answer;
+      (cost, Item_set.cardinal answer)
     | CLoad { dst; s } ->
       let relation, cost = Source.load_query s in
       t.slots.(dst) <- Loaded relation;
@@ -193,12 +170,12 @@ let exec ?cache ?(policy = Exec.default_policy) ~record_steps t =
   (* Same retry protocol as the interpreter: source queries retry on
      timeouts, the step cost is the meter delta (failed attempts'
      overhead included), and `Partial binds a harmless empty value. *)
-  let exec_with_retries ctx op cop =
-    if not (Op.is_source_query op) then exec_cop ctx cop
+  let exec_with_retries op cop =
+    if not (Op.is_source_query op) then exec_cop cop
     else begin
       let before = metered_cost () in
       let rec attempt budget =
-        match exec_cop ctx cop with
+        match exec_cop cop with
         | _, result_size -> Some result_size
         | exception Source.Timeout _ ->
           incr failures;
@@ -228,7 +205,7 @@ let exec ?cache ?(policy = Exec.default_policy) ~record_steps t =
     let cost, result_size =
       Trace.span Trace.Step (Op.name op) (fun ctx ->
           let failures_before = !failures in
-          let cost, result_size = exec_with_retries ctx op t.cops.(k) in
+          let cost, result_size = exec_with_retries op t.cops.(k) in
           if Trace.active ctx then begin
             Trace.attrs ctx
               [
@@ -252,6 +229,6 @@ let exec ?cache ?(policy = Exec.default_policy) ~record_steps t =
     partial = !partial;
   }
 
-let run ?cache ?policy t = exec ?cache ?policy ~record_steps:true t
+let run ?policy t = exec ?policy ~record_steps:true t
 
-let answer ?cache ?policy t = (exec ?cache ?policy ~record_steps:false t).Exec.answer
+let answer ?policy t = (exec ?policy ~record_steps:false t).Exec.answer

@@ -1,4 +1,4 @@
-(** Compiled plans: the mediator's specialized executor.
+(** Compiled plans: the one plan form production executors run.
 
     [compile] specializes one optimized plan DAG
     ([Sq]/[Sjq]/[∪]/[∩]/[−]/[Load]/[Local_select]) against its sources
@@ -10,16 +10,17 @@
     environment hashing, no per-tuple materialization, no per-run
     condition work.
 
-    [run] has exactly {!Exec.run}'s observable semantics — answers,
-    step list, costs, retry/partial policy, cache protocol and hit/miss
-    accounting, trace spans — property-tested equal over random plan
-    DAGs. [answer] is the steady-state serving entry: same execution,
-    but skips materializing the step list.
+    The {!Exec_async.Engine} walks the compiled form with its own slot
+    frame per engine: every mediator run and every served statement
+    executes there, session cache included. {!Exec} remains as the
+    reference interpreter.
 
-    The compiled form is also what the concurrent
-    {!Exec_async.Engine} walks, with its own slot frame per engine: it
-    is the only plan form production executors run; {!Exec} remains as
-    the reference interpreter.
+    [run] is a sequential walk of the same form without a cache. It
+    has {!Exec.run}'s uncached observable semantics — answers, step
+    list, costs, retry/partial policy, trace spans — property-tested
+    equal over random plan DAGs; benchmarks use it to time the compiled
+    operations in isolation. [answer] is the same walk without the
+    step list.
 
     A compiled plan holds mutable scratch (the slot frame and scan
     buffers): run each value from one engine at a time. *)
@@ -63,13 +64,14 @@ val compile :
 val plan : t -> Plan.t
 val sources : t -> Source.t array
 
-val run : ?cache:Exec.Query_cache.t -> ?policy:Exec.policy -> t -> Exec.result
-(** Executes the compiled plan; equivalent to [Exec.run] on the
-    underlying plan, sources and conditions. *)
+val run : ?policy:Exec.policy -> t -> Exec.result
+(** Executes the compiled plan one operation at a time; equivalent to
+    [Exec.run] without a cache on the underlying plan, sources and
+    conditions. *)
 
-val answer : ?cache:Exec.Query_cache.t -> ?policy:Exec.policy -> t -> Item_set.t
+val answer : ?policy:Exec.policy -> t -> Item_set.t
 (** Like {!run}, returning only the answer and skipping step-list
-    construction — the minimal-allocation serving loop. *)
+    construction. *)
 
 (** {2 The compiled form, for executors} *)
 

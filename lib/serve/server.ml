@@ -178,7 +178,6 @@ type active = {
 
 type t = {
   sources : Source.t array;
-  shard : string option; (* prepended as a ("shard", _) label on every metric *)
   window_span : float; (* per-tenant sliding-window length, server-clock seconds *)
   slow_log : Slow_log.t option;
   rt : Runtime.t;
@@ -211,14 +210,13 @@ type t = {
 }
 
 let create ?(policy = Fifo) ?(max_inflight = 64) ?cache_ttl ?(versioned_cache = false)
-    ?(exec_policy = Exec.default_policy) ?shard ?(window = 60.0) ?slow_log ?rt
+    ?(exec_policy = Exec.default_policy) ?(window = 60.0) ?slow_log ?rt
     sources =
   if max_inflight < 1 then invalid_arg "Server.create: max_inflight must be >= 1";
   if not (Float.is_finite window && window > 0.0) then
     invalid_arg "Server.create: window must be positive";
   {
     sources;
-    shard;
     window_span = window;
     slow_log;
     rt =
@@ -251,14 +249,8 @@ let create ?(policy = Fifo) ?(max_inflight = 64) ?cache_ttl ?(versioned_cache = 
   }
 
 let policy t = t.policy
-let shard t = t.shard
 let window_span t = t.window_span
 let slow_log t = t.slow_log
-
-(* A multi-shard deployment runs one server per shard against one
-   process-wide registry; the shard label is what keeps their
-   fusion_serve_* series apart. *)
-let labels t rest = match t.shard with None -> rest | Some s -> ("shard", s) :: rest
 
 (* The dictionary scope the server's relations are encoded in: sources
    loaded from one catalog share one table (the catalog scope), so the
@@ -290,7 +282,7 @@ let tenant t name =
         tn_shed = 0;
         tn_consumed = 0.0;
         tn_dispatch_pending = 0;
-        tn_summary = Summary.create ?label:t.shard ();
+        tn_summary = Summary.create ();
         tn_window = Window.create ~span:t.window_span ();
       }
     in
@@ -319,9 +311,7 @@ let submit t ~at job =
   t.seq <- t.seq + 1;
   (tenant t job.tenant).tn_submitted <- (tenant t job.tenant).tn_submitted + 1;
   Metrics.record (fun r ->
-      Metrics.incr r
-        ~labels:(labels t [ ("tenant", job.tenant) ])
-        "fusion_serve_submitted_total");
+      Metrics.incr r ~labels:[ ("tenant", job.tenant) ] "fusion_serve_submitted_total");
   let p = { p_id = id; p_job = job; p_at = at } in
   (* Insert in (arrival, id) order; submissions are usually appended. *)
   let rec insert = function
@@ -368,7 +358,7 @@ let complete t c =
         ~failed:c.c_failed c.c_steps)
     t.slow_log;
   Metrics.record (fun r ->
-      let ls = labels t [ ("tenant", job.tenant) ] in
+      let ls = [ ("tenant", job.tenant) ] in
       Metrics.incr r ~labels:ls "fusion_serve_completed_total";
       if c.c_failed <> None then Metrics.incr r ~labels:ls "fusion_serve_failed_total";
       if tn.tn_dispatch_pending > 0 then begin
@@ -420,8 +410,7 @@ let shed t p reason =
   tn.tn_shed <- tn.tn_shed + 1;
   Metrics.record (fun r ->
       Metrics.incr r
-        ~labels:
-          (labels t [ ("tenant", p.p_job.tenant); ("reason", shed_reason_name reason) ])
+        ~labels:[ ("tenant", p.p_job.tenant); ("reason", shed_reason_name reason) ]
         "fusion_serve_shed_total");
   List.iter (fun hook -> hook s) t.shed_hooks
 
@@ -606,9 +595,7 @@ let subscribe t ~tenant ?(label = "") ~conds plan =
         @ [ { sub_id = id; sub_tenant = tenant; sub_label = label;
               sub_maintained = m; sub_pushes = 0 } ];
       Metrics.record (fun r ->
-          Metrics.incr r
-            ~labels:(labels t [ ("tenant", tenant) ])
-            "fusion_delta_subscribe_total");
+          Metrics.incr r ~labels:[ ("tenant", tenant) ] "fusion_delta_subscribe_total");
       Ok id)
 
 let unsubscribe t id =
@@ -617,7 +604,7 @@ let unsubscribe t id =
   let removed = List.length t.subs < before in
   if removed then
     Metrics.record (fun r ->
-        Metrics.incr r ~labels:(labels t []) "fusion_delta_unsubscribe_total");
+        Metrics.incr r "fusion_delta_unsubscribe_total");
   removed
 
 let subscriptions t =
@@ -711,7 +698,7 @@ let mutate t ~source delta =
       t.subs;
     let elapsed = Runtime.now t.rt -. t0 in
     Metrics.record (fun r ->
-        let ls = labels t [ ("source", source) ] in
+        let ls = [ ("source", source) ] in
         Metrics.incr r ~labels:ls "fusion_delta_batches_total";
         if applied.Delta.inserted > 0 then
           Metrics.incr r ~labels:ls
@@ -722,10 +709,8 @@ let mutate t ~source delta =
             ~by:(float_of_int applied.Delta.deleted)
             "fusion_delta_deletes_total";
         if !pushed > 0 then
-          Metrics.incr r ~labels:(labels t [])
-            ~by:(float_of_int !pushed)
-            "fusion_delta_pushes_total";
-        Metrics.observe r ~labels:(labels t []) "fusion_delta_propagate_us"
+          Metrics.incr r ~by:(float_of_int !pushed) "fusion_delta_pushes_total";
+        Metrics.observe r "fusion_delta_propagate_us"
           (int_of_float (elapsed *. 1e6)));
     Ok applied
 
@@ -737,7 +722,7 @@ let mutate t ~source delta =
 let publish_metrics t =
   Answer_cache.publish_metrics t.answers;
   Metrics.record (fun r ->
-      let g ?(ls = []) name v = Metrics.gauge r ~labels:(labels t ls) name v in
+      let g ?(ls = []) name v = Metrics.gauge r ~labels:ls name v in
       let s = stats t in
       g "fusion_serve_queued" (float_of_int s.queued);
       g "fusion_serve_in_flight" (float_of_int s.in_flight);
@@ -754,7 +739,7 @@ let publish_metrics t =
         (fun name tn ->
           let ls = [ ("tenant", name) ] in
           if tn.tn_dispatch_pending > 0 then begin
-            Metrics.incr r ~labels:(labels t ls)
+            Metrics.incr r ~labels:ls
               ~by:(float_of_int tn.tn_dispatch_pending)
               "fusion_serve_dispatched_total";
             tn.tn_dispatch_pending <- 0

@@ -139,7 +139,6 @@ val create :
   ?cache_ttl:float ->
   ?versioned_cache:bool ->
   ?exec_policy:Fusion_plan.Exec.policy ->
-  ?shard:string ->
   ?window:float ->
   ?slow_log:Slow_log.t ->
   ?rt:Fusion_rt.Runtime.t ->
@@ -153,12 +152,7 @@ val create :
     switches the shared answer cache to source-version staleness
     accounting (see {!Fusion_plan.Answer_cache}): entries are patched
     or invalidated by {!mutate} and version-matching replays report an
-    exact staleness of zero. [shard] names the
-    shard this server is for in a multi-shard deployment: it is
-    prepended as a [("shard", _)] label to every [fusion_serve_*]
-    metric the server records (so one process-wide registry keeps the
-    shards' series apart) and labels the per-tenant summaries. [rt] is
-    the execution runtime (a private simulated network if omitted);
+    exact staleness of zero. [rt] is the execution runtime (a private simulated network if omitted);
     the caller keeps ownership — shut a domains runtime down after the
     server is drained. [window] (default 60) is the per-tenant
     sliding-window length in server-clock seconds (see
@@ -259,9 +253,6 @@ val tenants : t -> (string * tenant_stats) list
 (** Sorted by tenant name. *)
 
 val policy : t -> policy
-
-val shard : t -> string option
-(** The shard label passed at creation, if any. *)
 
 val window_span : t -> float
 (** The per-tenant sliding-window length, in server-clock seconds. *)

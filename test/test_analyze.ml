@@ -142,7 +142,7 @@ let test_to_timeline_round_trip () =
 
 let dmv_spec = { Workload.default_spec with Workload.n_sources = 4; seed = 7 }
 
-let traced_par_run ?(spec = dmv_spec) ?(algo = Optimizer.Sja_plus) () =
+let traced_run ?(spec = dmv_spec) ?(algo = Optimizer.Sja_plus) () =
   let instance = Workload.generate spec in
   let mediator =
     Mediator.create_exn (Array.to_list instance.Workload.sources)
@@ -152,7 +152,6 @@ let traced_par_run ?(spec = dmv_spec) ?(algo = Optimizer.Sja_plus) () =
     {
       Mediator.Config.default with
       Mediator.Config.algo;
-      concurrency = `Par;
       trace = Some collector;
     }
   in
@@ -161,7 +160,7 @@ let traced_par_run ?(spec = dmv_spec) ?(algo = Optimizer.Sja_plus) () =
   | Error msg -> Alcotest.failf "mediator run failed: %s" msg
 
 let test_tasks_of_spans_match_report () =
-  let report = traced_par_run () in
+  let report = traced_run () in
   let tasks =
     match Analyze.tasks_of_spans report.Mediator.trace with
     | Ok tasks -> tasks
@@ -175,23 +174,38 @@ let test_tasks_of_spans_match_report () =
   let path = Analyze.critical_path tasks in
   Alcotest.(check (float 1e-9)) "path total = response time"
     report.Mediator.response_time path.Analyze.total;
-  match report.Mediator.critical_path with
-  | None -> Alcotest.fail "Par report carries no critical path"
-  | Some reported ->
-    Alcotest.(check (list int)) "same hops as the report"
-      (List.map (fun h -> h.Analyze.task.Analyze.id) reported.Analyze.hops)
-      (List.map (fun h -> h.Analyze.task.Analyze.id) path.Analyze.hops)
+  Alcotest.(check (list int)) "same hops as the report"
+    (List.map (fun h -> h.Analyze.task.Analyze.id) report.Mediator.critical_path.Analyze.hops)
+    (List.map (fun h -> h.Analyze.task.Analyze.id) path.Analyze.hops)
 
-let test_seq_report_has_no_path () =
+(* An untraced default run: its report still carries the critical
+   path, sized to the makespan, through steps it dispatched. *)
+let test_every_run_has_a_critical_path () =
   let instance = Workload.generate dmv_spec in
   let mediator = Mediator.create_exn (Array.to_list instance.Workload.sources) in
   match Mediator.run mediator instance.Workload.query with
+  | Error msg -> Alcotest.failf "mediator run failed: %s" msg
   | Ok report ->
-    Alcotest.(check bool) "no critical path under Seq" true
-      (report.Mediator.critical_path = None);
+    let path = report.Mediator.critical_path in
+    Alcotest.(check bool) "path has hops" true (path.Analyze.hops <> []);
+    Alcotest.(check (float 1e-9)) "path length = response time"
+      report.Mediator.response_time path.Analyze.total;
+    let dispatched =
+      List.filter_map
+        (fun (s : Exec.step) ->
+          if Op.is_source_query s.Exec.op then
+            Some (Printf.sprintf "%s := %s" (Op.dst s.Exec.op) (Op.name s.Exec.op))
+          else None)
+        report.Mediator.steps
+    in
+    List.iter
+      (fun h ->
+        let label = h.Analyze.task.Analyze.label in
+        Alcotest.(check bool) ("hop names a dispatched step: " ^ label) true
+          (List.mem label dispatched))
+      path.Analyze.hops;
     Alcotest.(check bool) "drift is finite" true
       (Float.is_finite report.Mediator.cost_drift)
-  | Error msg -> Alcotest.failf "mediator run failed: %s" msg
 
 (* --- the makespan invariant, property-tested ----------------------------- *)
 
@@ -348,7 +362,7 @@ let test_summary_drift () =
 (* --- exporters ----------------------------------------------------------- *)
 
 let test_chrome_is_valid_json () =
-  let report = traced_par_run () in
+  let report = traced_run () in
   let text = Chrome.to_string report.Mediator.trace in
   let json = Helpers.check_ok (Json.of_string text) in
   match Json.member "traceEvents" json with
@@ -372,7 +386,7 @@ let test_chrome_is_valid_json () =
   | _ -> Alcotest.fail "no traceEvents array"
 
 let test_chrome_schedule_thread_per_source () =
-  let report = traced_par_run () in
+  let report = traced_run () in
   let json = Chrome.of_spans report.Mediator.trace in
   let events =
     match Json.member "traceEvents" json with
@@ -424,7 +438,8 @@ let suite =
     Alcotest.test_case "blame shares" `Quick test_blame_shares_sum_to_one;
     Alcotest.test_case "timeline round trip" `Quick test_to_timeline_round_trip;
     Alcotest.test_case "tasks from a traced run" `Quick test_tasks_of_spans_match_report;
-    Alcotest.test_case "seq report has no path" `Quick test_seq_report_has_no_path;
+    Alcotest.test_case "every run has a critical path" `Quick
+      test_every_run_has_a_critical_path;
     critical_path_matches_makespan;
     trace_rebuilds_timeline;
     Alcotest.test_case "summary percentiles" `Quick test_summary_percentiles;

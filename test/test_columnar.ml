@@ -256,32 +256,39 @@ let compiled_equals_interpreted =
         && same_result compiled again
         && Item_set.equal answer_only reference.Exec.answer)
 
+(* The session cache is served by the engine walking the compiled
+   plan; the interpreter is the protocol's reference. *)
 let compiled_cache_protocol =
   Helpers.qtest ~count:60 "compiled plan follows the cache protocol" plan_gen
     plan_print (fun input ->
       let instance, plan = instance_and_plan input in
       let conds = Query.conditions instance.Workload.query in
-      match Plan_compile.compile ~sources:instance.Workload.sources ~conds plan with
-      | Error msg -> QCheck2.Test.fail_reportf "compile failed: %s" msg
-      | Ok cp ->
-        let ci = Exec.Query_cache.create () and cc = Exec.Query_cache.create () in
-        (* cold then warm, on both engines: answers, costs and the
-           hit/miss accounting must track each other run for run *)
-        let ok = ref true in
-        for _round = 1 to 2 do
-          let ri = run_interp instance plan ~cache:ci () in
-          Array.iter Source.reset_meter instance.Workload.sources;
-          let rc = Plan_compile.run ~cache:cc cp in
-          let si = Exec.Query_cache.stats ci and sc = Exec.Query_cache.stats cc in
-          ok :=
-            !ok && same_result ri rc
-            && si.Exec.Query_cache.hits = sc.Exec.Query_cache.hits
-            && si.Exec.Query_cache.misses = sc.Exec.Query_cache.misses
-            && Float.abs
-                 (si.Exec.Query_cache.saved_cost -. sc.Exec.Query_cache.saved_cost)
-               < 1e-6
-        done;
-        !ok)
+      let ci = Exec.Query_cache.create () and cc = Exec.Query_cache.create () in
+      (* cold then warm, on both executors: answers, steps, costs and
+         the hit/miss accounting must track each other run for run *)
+      let ok = ref true in
+      for _round = 1 to 2 do
+        let ri = run_interp instance plan ~cache:ci () in
+        Array.iter Source.reset_meter instance.Workload.sources;
+        let ra = Exec_async.run ~cache:cc ~sources:instance.Workload.sources ~conds plan in
+        let rc =
+          {
+            Exec.answer = ra.Exec_async.answer;
+            steps = Exec_async.to_exec_steps ra.Exec_async.steps;
+            total_cost = ra.Exec_async.total_cost;
+            failures = ra.Exec_async.failures;
+            partial = ra.Exec_async.partial;
+          }
+        in
+        let si = Exec.Query_cache.stats ci and sc = Exec.Query_cache.stats cc in
+        ok :=
+          !ok && same_result ri rc
+          && si.Exec.Query_cache.hits = sc.Exec.Query_cache.hits
+          && si.Exec.Query_cache.misses = sc.Exec.Query_cache.misses
+          && Float.abs (si.Exec.Query_cache.saved_cost -. sc.Exec.Query_cache.saved_cost)
+             < 1e-6
+      done;
+      !ok)
 
 (* --- compiled plan reused across deltas ---------------------------------- *)
 

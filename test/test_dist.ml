@@ -21,7 +21,6 @@ module Profile = Fusion_net.Profile
 module Prng = Fusion_stats.Prng
 module Metrics = Fusion_obs.Metrics
 module Prom = Fusion_obs.Prom
-module Summary = Fusion_obs.Summary
 module Trace = Fusion_obs.Trace
 module Analyze = Fusion_obs.Analyze
 
@@ -462,33 +461,10 @@ let test_catalog_replicas_key () =
   Alcotest.check Helpers.item_set "grouped cluster exact" (truth instance)
     r.Coordinator.r_answer
 
-(* --- per-shard serving metrics (the fusion_serve_* label fix) ------------ *)
-
-let test_serve_metrics_carry_shard_labels () =
-  let instance = Workload.generate { Workload.default_spec with seed = 59 } in
-  let cluster = cluster_of ~shards:2 instance in
-  let registry = Metrics.create () in
-  let fleet = Fleet.create cluster in
-  Metrics.with_registry registry (fun () ->
-      ignore (Helpers.check_ok (Fleet.submit fleet ~at:0.0 instance.Workload.query));
-      Fleet.drain fleet);
-  let text = Prom.of_registry registry in
-  let has s = Option.is_some (Str_find.find_substring text s) in
-  Alcotest.(check bool) "s0 completed series" true
-    (has "fusion_serve_completed_total{shard=\"s0\",tenant=\"default\"} 1");
-  Alcotest.(check bool) "s1 completed series" true
-    (has "fusion_serve_completed_total{shard=\"s1\",tenant=\"default\"} 1");
-  Alcotest.(check bool) "s0 submitted series" true
-    (has "fusion_serve_submitted_total{shard=\"s0\",tenant=\"default\"} 1");
-  Alcotest.(check bool) "dispatched kept apart per shard" true
-    (has "fusion_serve_dispatched_total{shard=\"s0\"" && has "fusion_serve_dispatched_total{shard=\"s1\"");
-  (* The per-tenant summaries carry the shard label too. *)
-  let _, ts = List.hd (Fusion_serve.Server.tenants (Fleet.server fleet 0)) in
-  Alcotest.(check (option string)) "summary labeled" (Some "s0")
-    (Summary.label ts.Fusion_serve.Server.ts_summary)
+(* --- serving metrics ------------------------------------------------------ *)
 
 let test_unsharded_serve_metrics_unchanged () =
-  (* Without a shard label the series look exactly as before the fix. *)
+  (* Served series carry only their own labels. *)
   let instance = Workload.generate { Workload.default_spec with seed = 61 } in
   let registry = Metrics.create () in
   let server =
@@ -504,33 +480,6 @@ let test_unsharded_serve_metrics_unchanged () =
   Alcotest.(check bool) "no shard label" true
     (Option.is_some
        (Str_find.find_substring text "fusion_serve_completed_total{tenant=\"default\"} 1"))
-
-let test_summary_label () =
-  let s = Summary.create ~label:"s7" () in
-  Alcotest.(check (option string)) "label stored" (Some "s7") (Summary.label s);
-  Summary.add s ~cost:10.0 ~response_time:5.0 ();
-  let text = Format.asprintf "%a" Summary.pp s in
-  Alcotest.(check bool) "label rendered" true
-    (Option.is_some (Str_find.find_substring text "[s7]"));
-  Alcotest.(check (option string)) "unlabeled by default" None
-    (Summary.label (Summary.create ()))
-
-(* --- the sharded serving path -------------------------------------------- *)
-
-let test_fleet_joins_shard_answers () =
-  let instance = Workload.generate { Workload.default_spec with seed = 67 } in
-  let cluster = cluster_of ~shards:3 instance in
-  let fleet = Fleet.create cluster in
-  let id = Helpers.check_ok (Fleet.submit fleet ~at:0.0 instance.Workload.query) in
-  Fleet.drain fleet;
-  match Fleet.outcomes fleet with
-  | [ o ] ->
-    Alcotest.(check int) "id" id o.Fleet.f_id;
-    Alcotest.(check (option Helpers.item_set)) "joined answer exact"
-      (Some (truth instance)) o.Fleet.f_answer;
-    Alcotest.(check bool) "cost accounted" true (o.Fleet.f_cost > 0.0);
-    Alcotest.(check bool) "not partial" false o.Fleet.f_partial
-  | os -> Alcotest.failf "expected one outcome, got %d" (List.length os)
 
 let suite =
   [
@@ -566,10 +515,6 @@ let suite =
     Alcotest.test_case "local plan mode stays exact" `Quick test_local_plan_mode_exact;
     Alcotest.test_case "catalog replicas key builds groups" `Quick
       test_catalog_replicas_key;
-    Alcotest.test_case "fusion_serve_* metrics distinguish shards" `Quick
-      test_serve_metrics_carry_shard_labels;
     Alcotest.test_case "unsharded serve metrics unchanged" `Quick
       test_unsharded_serve_metrics_unchanged;
-    Alcotest.test_case "summary labels" `Quick test_summary_label;
-    Alcotest.test_case "fleet joins shard answers" `Quick test_fleet_joins_shard_answers;
   ]

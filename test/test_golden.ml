@@ -48,7 +48,7 @@ let test_explain_golden () =
   let result = Helpers.execute_plan instance plan in
   let explain =
     Explain.analyze ~model:env.Opt_env.model ~est:env.Opt_env.est
-      ~sources:env.Opt_env.sources ~conds:env.Opt_env.conds plan result
+      ~sources:env.Opt_env.sources ~conds:env.Opt_env.conds plan result.Exec.steps
   in
   Alcotest.(check string) "sja+ explain" sja_plus_explain
     (Format.asprintf "%a" (Explain.pp ?source_name:None) explain)

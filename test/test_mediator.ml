@@ -54,33 +54,13 @@ let test_run_rejects_invalid_query () =
 
 let test_runtime_config () =
   let _, mediator = fig1_mediator () in
-  (* domains + sequential execution is contradictory: clear error, not
-     a silent fallback. *)
-  let bad =
-    { Mediator.Config.default with
-      Mediator.Config.concurrency = `Seq;
-      runtime = `Domains 2;
-    }
-  in
-  let msg =
-    Helpers.check_err "seq on domains" (Mediator.run_sql ~config:bad mediator dmv_sql)
-  in
-  let contains hay needle =
-    let h = String.length hay and n = String.length needle in
-    let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "error names the fix" true (contains msg "concurrency");
-  (* domains + concurrent execution answers exactly what the simulator
-     answers. *)
-  let good =
-    { Mediator.Config.default with
-      Mediator.Config.concurrency = `Par;
-      runtime = `Domains 2;
-    }
-  in
-  let report = Helpers.check_ok (Mediator.run_sql ~config:good mediator dmv_sql) in
-  Alcotest.check Helpers.item_set "domains answer" expected report.Mediator.answer
+  (* The domains runtime answers exactly what the simulator answers,
+     and its schedule still yields a critical path. *)
+  let config = { Mediator.Config.default with Mediator.Config.runtime = `Domains 2 } in
+  let report = Helpers.check_ok (Mediator.run_sql ~config mediator dmv_sql) in
+  Alcotest.check Helpers.item_set "domains answer" expected report.Mediator.answer;
+  Alcotest.(check bool) "critical path present" true
+    (report.Mediator.critical_path.Fusion_obs.Analyze.hops <> [])
 
 (* The TCP front end, in-process: a server thread on an ephemeral
    loopback port, a blocking client sending two good statements and one
@@ -291,7 +271,7 @@ let test_admin_front () =
     (Fusion_serve.Server.conservation_ok report.Tcp.stats)
 
 (* A plan that fails to compile is an [Error] from the execution path
-   [run] uses, under sequential and concurrent execution alike. *)
+   [run] uses. *)
 let test_execute_rejects_invalid_plan () =
   let instance, mediator = fig1_mediator () in
   let conds = Fusion_query.Query.conditions instance.Workload.query in
@@ -300,13 +280,9 @@ let test_execute_rejects_invalid_plan () =
       ~ops:[ Fusion_plan.Op.Select { dst = "X"; cond = 0; source = 99 } ]
       ~output:"X"
   in
-  List.iter
-    (fun concurrency ->
-      let config = { Mediator.Config.default with Mediator.Config.concurrency } in
-      let msg = Helpers.check_err "invalid plan" (Mediator.execute ~config mediator ~conds bad) in
-      Alcotest.(check bool) ("error names the plan: " ^ msg) true
-        (String.starts_with ~prefix:"invalid plan" msg))
-    [ `Seq; `Par ];
+  let msg = Helpers.check_err "invalid plan" (Mediator.execute mediator ~conds bad) in
+  Alcotest.(check bool) ("error names the plan: " ^ msg) true
+    (String.starts_with ~prefix:"invalid plan" msg);
   let good =
     Helpers.check_ok (Mediator.plan_for mediator instance.Workload.query)
   in

@@ -152,8 +152,7 @@ let equivalence_prop =
       let config =
         {
           Mediator.Config.default with
-          Mediator.Config.concurrency = `Par;
-          retries = 3;
+          Mediator.Config.retries = 3;
           on_exhausted = `Partial;
         }
       in

@@ -143,7 +143,8 @@ let test_explain_alignment () =
   let result = Helpers.execute_plan instance sja.Optimized.plan in
   let explain =
     Explain.analyze ~model:env.Opt_env.model ~est:env.Opt_env.est
-      ~sources:env.Opt_env.sources ~conds:env.Opt_env.conds sja.Optimized.plan result
+      ~sources:env.Opt_env.sources ~conds:env.Opt_env.conds sja.Optimized.plan
+      result.Exec.steps
   in
   Alcotest.(check int) "one line per op" (List.length (Plan.ops sja.Optimized.plan))
     (List.length explain.Explain.lines);
@@ -183,7 +184,8 @@ let test_explain_rejects_mismatch () =
   Alcotest.(check bool) "length mismatch detected" true
     (match
        Explain.analyze ~model:env.Opt_env.model ~est:env.Opt_env.est
-         ~sources:env.Opt_env.sources ~conds:env.Opt_env.conds plan_b result
+         ~sources:env.Opt_env.sources ~conds:env.Opt_env.conds plan_b
+         result.Exec.steps
      with
     | exception Invalid_argument _ -> true
     | _ -> false)
