@@ -8,6 +8,9 @@
 open Fusion_core
 open Fusion_plan
 module Workload = Fusion_workload.Workload
+module Brute = Fusion_oracle.Brute
+module Adaptive = Fusion_lab.Adaptive
+module Robust = Fusion_lab.Robust
 
 let env_of ?stats (instance : Workload.instance) =
   Opt_env.create ?stats ~universe:instance.Workload.spec.Workload.universe

@@ -12,6 +12,10 @@ open Fusion_core
 open Fusion_plan
 module Workload = Fusion_workload.Workload
 module Source = Fusion_source.Source
+module Adaptive = Fusion_lab.Adaptive
+module Parallel_exec = Fusion_lab.Parallel_exec
+module Response_opt = Fusion_lab.Response_opt
+module Response_time = Fusion_lab.Response_time
 
 let instance_with_slow_mirror seed =
   let base =

@@ -13,6 +13,7 @@ open Fusion_data
 open Fusion_core
 module Workload = Fusion_workload.Workload
 module Prng = Fusion_stats.Prng
+module Robust = Fusion_lab.Robust
 
 let base_spec seed =
   {

@@ -24,6 +24,7 @@ module Mediator = Fusion_mediator.Mediator
 module Serve = Fusion_serve.Server
 module Driver = Fusion_serve.Driver
 module Prng = Fusion_stats.Prng
+module Item_set_ref = Fusion_oracle.Item_set_ref
 
 (* --- deterministic input shapes ---------------------------------------- *)
 

@@ -11,6 +11,7 @@
 
 open Fusion_core
 module Workload = Fusion_workload.Workload
+module Brute = Fusion_oracle.Brute
 
 let spec ~m ~correlation seed =
   {

@@ -12,6 +12,7 @@
 
 open Fusion_core
 module Workload = Fusion_workload.Workload
+module Adaptive = Fusion_lab.Adaptive
 
 let spec ~entity_correlation n =
   {

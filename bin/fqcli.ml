@@ -292,20 +292,21 @@ let run_cmd =
                  Mediator.Config.algo;
                  stats = stats_of_sample sample hist;
                  runtime;
-                 (* The report's queue-wait breakdown needs span data;
-                    collect it privately unless --trace already
-                    installs a collector. The collector's span stack
-                    assumes one clock and one fibre, so skip it on the
-                    domains runtime. *)
-                 trace =
-                   (if trace = None && runtime = `Sim then
-                      Some (Fusion_obs.Trace.create ())
-                    else None);
                }
              in
-             let* result = Mediator.select_sql ~config mediator sql in
+             (* The report's queue-wait breakdown needs span data;
+                collect it privately unless --trace already installs a
+                collector. The collector's span stack assumes one clock
+                and one fibre, so skip it on the domains runtime. *)
+             let select () = Mediator.select_sql ~config mediator sql in
+             let* result =
+               if trace = None && runtime = `Sim then
+                 Fusion_obs.Trace.with_collector (Fusion_obs.Trace.create ()) select
+               else select ()
+             in
              Format.printf "%a@." Mediator.pp_report result.Mediator.report;
-             Format.printf "makespan: %.1f (total cost %.1f)@."
+             Format.printf "makespan: %a (total cost %.1f)@."
+               (Mediator.pp_duration runtime)
                result.Mediator.report.Mediator.response_time
                result.Mediator.report.Mediator.actual_cost;
              (match
@@ -515,21 +516,20 @@ let profile_cmd =
              let source_name j =
                Fusion_source.Source.name (Mediator.sources mediator).(j)
              in
-             let config collector =
+             let config =
                {
                  Mediator.Config.default with
                  Mediator.Config.algo;
                  stats = stats_of_sample sample hist;
-                 trace = Some collector;
                }
              in
-             (* First run: the one we profile in detail. *)
-             let collector = Fusion_obs.Trace.create () in
-             let registry = Fusion_obs.Metrics.create () in
-             let* report =
-               Fusion_obs.Metrics.with_registry registry (fun () ->
-                   Mediator.run_sql ~config:(config collector) mediator sql)
+             let traced_run () =
+               Fusion_obs.Trace.with_collector (Fusion_obs.Trace.create ()) (fun () ->
+                   Mediator.run_sql ~config mediator sql)
              in
+             (* First run: the one we profile in detail. *)
+             let registry = Fusion_obs.Metrics.create () in
+             let* report = Fusion_obs.Metrics.with_registry registry traced_run in
              let est = report.Mediator.optimized.Optimized.est_cost in
              Format.printf "algorithm: %s@." (Optimizer.name report.Mediator.algo);
              Format.printf
@@ -600,8 +600,7 @@ let profile_cmd =
                let rec go i =
                  if i >= runs then Ok ()
                  else
-                   let c = Fusion_obs.Trace.create () in
-                   let* r = Mediator.run_sql ~config:(config c) mediator sql in
+                   let* r = traced_run () in
                    record r;
                    go (i + 1)
                in

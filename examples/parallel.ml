@@ -12,6 +12,8 @@ open Fusion_plan
 module Workload = Fusion_workload.Workload
 module Source = Fusion_source.Source
 module Sim = Fusion_net.Sim
+module Adaptive = Fusion_lab.Adaptive
+module Response_opt = Fusion_lab.Response_opt
 
 let instance_with_slow_mirror () =
   let base =

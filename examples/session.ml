@@ -9,6 +9,7 @@ open Fusion_plan
 module Workload = Fusion_workload.Workload
 module Mediator = Fusion_mediator.Mediator
 module Cache = Exec.Query_cache
+module Adaptive = Fusion_lab.Adaptive
 
 let () =
   let instance =

@@ -322,8 +322,6 @@ and parse_predicate st attr =
 
 let bare_attr _st id = id
 
-let parse_in st ~attr_of = parse_or st attr_of
-
 let parse_predicate_in st ~attr = parse_predicate st attr
 
 let parse input =

@@ -68,13 +68,6 @@ val cmp_holds : cmp -> int -> bool
 val string_has_prefix : prefix:string -> string -> bool
 (** The [Prefix] (SQL [LIKE 'p%']) matcher. *)
 
-val parse_in :
-  Parser_state.t -> attr_of:(Parser_state.t -> string -> string) -> t
-(** Parses a condition from an already-open token stream; [attr_of]
-    resolves attribute references (the SQL front-end uses it to consume
-    the [alias.] qualifier). Used by [Fusion_query.Sql].
-    @raise Parser_state.Parse_error on malformed input. *)
-
 val parse_predicate_in : Parser_state.t -> attr:string -> t
 (** Parses the operator-and-operand part of a predicate ([= 3],
     [BETWEEN 1 AND 5], ...) whose attribute has already been consumed.

@@ -15,7 +15,7 @@
    have identical structure and [equal] is a flat comparison.
 
    Observable behavior matches the historical [Set.Make (Value)]
-   implementation (kept as {!Item_set_ref}): [to_list], [iter], [fold]
+   implementation (kept as a test oracle): [to_list], [iter], [fold]
    and [pp] enumerate in increasing {!Value.compare} order, and
    membership follows [Value.equal] equality classes because the intern
    table does. The one caveat is representatives: where the AVL set kept

@@ -9,7 +9,7 @@
     or as a bitset when the id range is dense — so the set algebra runs
     as merge/bitwise kernels over unboxed ints. The observable behavior
     is identical to the previous [Set.Make (Value)] implementation
-    (kept as {!Item_set_ref} for equivalence testing): iteration order
+    (kept as a test oracle for equivalence testing): iteration order
     is increasing {!Value.compare} order and membership follows
     {!Value.equal} equality classes.
 

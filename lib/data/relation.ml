@@ -60,10 +60,6 @@ let column_table t a = t.cols.(a).tbl
 let column_ids t a = t.cols.(a).ids
 let column_null_words t a = t.cols.(a).nulls
 
-let null_at t a i =
-  let c = t.cols.(a) in
-  c.nulls.(i / bpw) land (1 lsl (i mod bpw)) <> 0
-
 let positions_of_id t id = Option.value ~default:[] (Hashtbl.find_opt t.index id)
 
 let words_for capacity = (capacity + bpw - 1) / bpw
@@ -201,8 +197,6 @@ let fold f init t =
   let acc = ref init in
   iter (fun tuple -> acc := f !acc tuple) t;
   !acc
-
-let to_array t = Array.init t.used (row t)
 
 let tuples t = List.rev (fold (fun acc tu -> tu :: acc) [] t)
 

@@ -56,10 +56,6 @@ val row : t -> int -> Tuple.t
 (** Materializes the tuple at a position in [0, cardinality). Positions
     are unstable across {!remove} (swap-with-last). *)
 
-val to_array : t -> Tuple.t array
-(** All tuples in position order; one array allocation plus one tuple
-    per row, no intermediate list. *)
-
 val tuples : t -> Tuple.t list
 
 val items : t -> Item_set.t
@@ -109,9 +105,6 @@ val column_ids : t -> int -> int array
 val column_null_words : t -> int -> int array
 (** Null bitmap of the column, [Sys.int_size] rows per word, row [r] at
     word [r / Sys.int_size], bit [r mod Sys.int_size]. *)
-
-val null_at : t -> int -> int -> bool
-(** [null_at t attr row] — whether the cell is [Null]. *)
 
 val value_at : t -> int -> int -> Value.t
 (** [value_at t attr row] — the representative value of the cell's

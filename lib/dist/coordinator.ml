@@ -39,8 +39,6 @@ module Metrics = Fusion_obs.Metrics
 module Analyze = Fusion_obs.Analyze
 
 module Config = struct
-  type plan_mode = [ `Global | `Local ]
-
   type t = {
     algo : Optimizer.algo;
     stats : Opt_env.stats_mode;
@@ -48,7 +46,6 @@ module Config = struct
     on_exhausted : [ `Fail | `Partial ];
     routing : Replica.routing;
     hedge : float option;
-    plan_mode : plan_mode;
     runtime : Runtime.spec;
   }
 
@@ -60,7 +57,6 @@ module Config = struct
       on_exhausted = `Fail;
       routing = Replica.Primary;
       hedge = None;
-      plan_mode = `Global;
       runtime = `Sim;
     }
 end
@@ -83,7 +79,7 @@ type report = {
   r_shard_count : int;
   r_replica_count : int;  (** the cluster's stride: largest replica group *)
   r_answer : Item_set.t;
-  r_optimized : Optimized.t;  (** the oracle mediator's plan (the one scattered under [`Global]) *)
+  r_optimized : Optimized.t;  (** the oracle mediator's plan, scattered to every shard *)
   r_fragments : Fragment.t list;
   r_shards : shard_report list;
   r_total_cost : float;
@@ -315,43 +311,26 @@ let fragments_for ~cluster ~(config : Config.t) query =
     let optimized = prepared.Mediator.prep_optimized in
     let conds = prepared.Mediator.prep_conds in
     let shards = Cluster.shards cluster in
-    let fragment_of shard =
-      match config.Config.plan_mode with
-      | `Global -> Ok (Fragment.of_plan ~shard optimized.Optimized.plan)
-      | `Local -> (
-        (* Plan against the shard's own slice statistics (replica 0 of
-           every group sees exactly the shard's data). *)
-        let sources =
-          List.init (Cluster.n_sources cluster) (fun j ->
-              Cluster.replica cluster ~shard ~source:j ~replica:0)
-        in
-        match Mediator.create sources with
-        | Error msg -> Error msg
-        | Ok med -> (
-          match Mediator.plan_for ~algo ~stats med query with
-          | Error msg -> Error msg
-          | Ok p -> Ok (Fragment.of_plan ~shard p.Mediator.prep_optimized.Optimized.plan)))
-    in
     let rec scatter shard acc =
       if shard >= shards then Ok (List.rev acc)
       else
-        match fragment_of shard with
-        | Error msg -> Error msg
-        | Ok f -> (
-          (* The wire round trip: every fragment is encoded and decoded
-             exactly as a remote shard would receive it, then compiled
-             against the shard's replica-0 sources. *)
-          let sources =
-            Array.init (Cluster.n_sources cluster) (fun j ->
-                Cluster.replica cluster ~shard ~source:j ~replica:0)
-          in
-          match
-            Result.bind (Fragment.ship f) (fun f ->
-                Result.map (fun cp -> (f, cp))
-                  (Plan_compile.compile ~sources ~conds f.Fragment.plan))
-          with
-          | Error msg -> Error ("fragment for shard " ^ string_of_int shard ^ ": " ^ msg)
-          | Ok fc -> scatter (shard + 1) (fc :: acc))
+        (* The wire round trip: every shard's fragment of the one plan
+           is encoded and decoded exactly as a remote shard would
+           receive it, then compiled against the shard's replica-0
+           sources. *)
+        let sources =
+          Array.init (Cluster.n_sources cluster) (fun j ->
+              Cluster.replica cluster ~shard ~source:j ~replica:0)
+        in
+        match
+          Result.bind
+            (Fragment.ship (Fragment.of_plan ~shard optimized.Optimized.plan))
+            (fun f ->
+              Result.map (fun cp -> (f, cp))
+                (Plan_compile.compile ~sources ~conds f.Fragment.plan))
+        with
+        | Error msg -> Error ("fragment for shard " ^ string_of_int shard ^ ": " ^ msg)
+        | Ok fc -> scatter (shard + 1) (fc :: acc)
     in
     Result.map (fun frags -> (optimized, frags)) (scatter 0 [])
 

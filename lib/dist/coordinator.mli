@@ -20,10 +20,6 @@
 open Fusion_data
 
 module Config : sig
-  type plan_mode =
-    [ `Global  (** one plan from the oracle mediator, scattered to all shards *)
-    | `Local  (** each shard re-plans against its own slice statistics *) ]
-
   type t = {
     algo : Fusion_core.Optimizer.algo;
     stats : Fusion_core.Opt_env.stats_mode;
@@ -34,7 +30,6 @@ module Config : sig
         (** duplicate a request onto the best alternative replica when
             the routed one's predicted finish exceeds [factor ×] the
             alternative's; [None] disables hedging *)
-    plan_mode : plan_mode;
     runtime : Fusion_rt.Runtime.spec;
         (** execution backend: [`Sim] (default) runs on the
             discrete-event clock; [`Domains n] runs fragments as
@@ -44,7 +39,7 @@ module Config : sig
 
   val default : t
   (** SJA+, exact statistics, no retries ([`Fail]), primary routing, no
-      hedging, global planning, simulated runtime — the
+      hedging, simulated runtime — the
       oracle-equivalent configuration. *)
 end
 
@@ -67,7 +62,7 @@ type report = {
   r_replica_count : int;  (** the cluster's stride: largest replica group *)
   r_answer : Item_set.t;
   r_optimized : Fusion_core.Optimized.t;
-      (** the oracle mediator's plan (the one scattered under [`Global]) *)
+      (** the oracle mediator's plan, scattered to every shard *)
   r_fragments : Fusion_plan.Fragment.t list;  (** as decoded from the wire *)
   r_shards : shard_report list;  (** in shard order *)
   r_total_cost : float;  (** work charged across all replicas of all shards *)

@@ -48,7 +48,6 @@ module Config = struct
     cache : Fusion_plan.Exec.Query_cache.t option;
     retries : int;
     on_exhausted : [ `Fail | `Partial ];
-    trace : Trace.collector option;
     runtime : Runtime.spec;
   }
 
@@ -59,7 +58,6 @@ module Config = struct
       cache = None;
       retries = 0;
       on_exhausted = `Fail;
-      trace = None;
       runtime = `Sim;
     }
 
@@ -68,6 +66,7 @@ end
 
 type report = {
   algo : Optimizer.algo;
+  runtime : Runtime.spec;
   optimized : Optimized.t;
   answer : Item_set.t;
   actual_cost : float;
@@ -262,6 +261,7 @@ let run_body ~(config : Config.t) ~ctx t query =
       Ok
         {
           algo = config.Config.algo;
+          runtime = config.Config.runtime;
           optimized;
           answer = x.x_answer;
           actual_cost = x.x_cost;
@@ -280,30 +280,24 @@ let run_body ~(config : Config.t) ~ctx t query =
           trace = [];
         })
 
-(* [config.trace] installs a collector for the duration of the run (on
-   top of any process-wide one); either way, the spans the run produced
+(* The spans the run produced under whatever collector is installed
    come back in [report.trace], with the [Run] span as the root. *)
 let run ?(config = Config.default) t query =
-  let go () =
-    let marked = Option.map (fun c -> (c, Trace.mark c)) (Trace.installed ()) in
-    let result =
-      Trace.span Trace.Run "mediator.run" (fun ctx ->
-          if Trace.active ctx then
-            Trace.attrs ctx
-              [
-                ("algo", Trace.Str (Optimizer.name config.Config.algo));
-                ("sources", Trace.Int (Array.length t.sources));
-                ("query", Trace.Str (Format.asprintf "%a" Fusion_query.Query.pp query));
-              ];
-          run_body ~config ~ctx t query)
-    in
-    match result, marked with
-    | Ok report, Some (c, m) -> Ok { report with trace = Trace.spans_since c m }
-    | _ -> result
+  let marked = Option.map (fun c -> (c, Trace.mark c)) (Trace.installed ()) in
+  let result =
+    Trace.span Trace.Run "mediator.run" (fun ctx ->
+        if Trace.active ctx then
+          Trace.attrs ctx
+            [
+              ("algo", Trace.Str (Optimizer.name config.Config.algo));
+              ("sources", Trace.Int (Array.length t.sources));
+              ("query", Trace.Str (Format.asprintf "%a" Fusion_query.Query.pp query));
+            ];
+        run_body ~config ~ctx t query)
   in
-  match config.Config.trace with
-  | Some c -> Trace.with_collector c go
-  | None -> go ()
+  match result, marked with
+  | Ok report, Some (c, m) -> Ok { report with trace = Trace.spans_since c m }
+  | _ -> result
 
 let run_sql ?config t text =
   match Fusion_query.Sql.parse_fusion ~schema:(schema t) ~union:t.union text with
@@ -378,14 +372,21 @@ let single_phase_cost t query =
         acc conds)
     0.0 t.sources
 
+(* Simulated time shares the cost model's units; a real clock's seconds
+   print as milliseconds, with the unit. *)
+let pp_duration runtime ppf t =
+  match runtime with
+  | `Sim -> Format.fprintf ppf "%.1f" t
+  | `Domains _ -> Format.fprintf ppf "%.3f ms" (t *. 1000.0)
+
 let pp_report ppf r =
   Format.fprintf ppf "@[<v>algorithm: %s@,%a@,actual cost: %.1f%s%s@,answer (%d items): %a"
     (Optimizer.name r.algo)
     (Optimized.pp ?source_name:None)
     r.optimized r.actual_cost
-    (if r.response_time < r.actual_cost then
-       Printf.sprintf " (response time %.1f)" r.response_time
-     else "")
+    (match r.runtime with
+     | `Sim when r.response_time >= r.actual_cost -> ""
+     | runtime -> Format.asprintf " (response time %a)" (pp_duration runtime) r.response_time)
     (if r.partial then " (PARTIAL: a source was unreachable)"
      else if r.failures > 0 then Printf.sprintf " (%d retried timeouts)" r.failures
      else "")

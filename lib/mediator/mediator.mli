@@ -39,8 +39,6 @@ module Config : sig
         (** session query cache, shared across runs *)
     retries : int;  (** extra attempts per timed-out source query *)
     on_exhausted : [ `Fail | `Partial ];  (** when retries run out *)
-    trace : Fusion_obs.Trace.collector option;
-        (** collector installed for the duration of each run *)
     runtime : Fusion_rt.Runtime.spec;
         (** execution backend for runs and serving: [`Sim] (default)
             is the discrete-event simulator, [`Domains n] executes on a
@@ -48,8 +46,8 @@ module Config : sig
   }
 
   val default : t
-  (** SJA+, exact statistics, no cache, no retries ([`Fail]), no
-      tracing, on the simulator. *)
+  (** SJA+, exact statistics, no cache, no retries ([`Fail]), on the
+      simulator. *)
 
   val policy : t -> Fusion_plan.Exec.policy
   (** The executor fault policy the config denotes. *)
@@ -57,6 +55,7 @@ end
 
 type report = {
   algo : Optimizer.algo;
+  runtime : Fusion_rt.Runtime.spec;  (** the runtime the run executed on *)
   optimized : Optimized.t;  (** the plan and its estimated cost *)
   answer : Item_set.t;
   actual_cost : float;
@@ -133,9 +132,8 @@ val run : ?config:Config.t -> t -> Fusion_query.Query.t -> (report, string) resu
     before execution, so [per_source] reflects just this run. Pass the
     same [Config.cache] across the queries of a session to reuse
     selection answers for repeated conditions (Section 5's common
-    subexpressions). [Config.trace] installs a span collector for the
-    duration of the run; with or without it, whatever collector is
-    active fills [report.trace]. *)
+    subexpressions). Whatever span collector is active (install one
+    with {!Fusion_obs.Trace.with_collector}) fills [report.trace]. *)
 
 val run_sql : ?config:Config.t -> t -> string -> (report, string) result
 (** Parses the SQL text against the mediator's schema and union-view
@@ -169,6 +167,11 @@ val single_phase_cost : t -> Fusion_query.Query.t -> float
 (** Cost of the naive one-phase strategy the paper's two-phase approach
     avoids: every condition pushed to every source with answers shipped
     as {e full tuples} rather than items. *)
+
+val pp_duration : Fusion_rt.Runtime.spec -> Format.formatter -> float -> unit
+(** A duration as the runtime measures it: simulated time units with
+    one decimal on [`Sim], wall-clock milliseconds with the unit on
+    [`Domains _]. *)
 
 val pp_report : Format.formatter -> report -> unit
 
@@ -212,9 +215,9 @@ module Server : sig
     mediator ->
     t
   (** [config] drives per-submission optimization and the retry policy
-      ({!Config.default} if omitted). Its [trace] field is ignored, and
-      so is [cache]: served answers are reused through the server's
-      own answer cache ([cache_ttl]). Remaining options as in
+      ({!Config.default} if omitted). Its [cache] field is ignored:
+      served answers are reused through the server's own answer cache
+      ([cache_ttl]). Remaining options as in
       {!Fusion_serve.Server.create}. *)
 
   val submit :

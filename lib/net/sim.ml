@@ -118,12 +118,3 @@ let pp_gantt ?(width = 60) ?(server_name = fun j -> Printf.sprintf "R%d" (j + 1)
       servers;
     Format.fprintf ppf "makespan: %.1f@]" t.makespan
   end
-
-let pp_timeline ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iter
-    (fun e ->
-      Format.fprintf ppf "task %3d @@ server %2d: %8.1f -> %8.1f@," e.task.id e.task.server
-        e.start e.finish)
-    t.events;
-  Format.fprintf ppf "makespan: %.1f@]" t.makespan

@@ -9,7 +9,7 @@
 
     This is the execution substrate for the paper's "response time in a
     parallel execution model" future-work direction (Section 6): the
-    analytic critical-path model of [Fusion_plan.Response_time] is the
+    analytic round-by-round critical-path model of experiment X10 is the
     special case with infinitely concurrent sources. *)
 
 type task = {
@@ -42,8 +42,6 @@ val run : servers:int -> task list -> timeline
     deterministic). [servers] bounds the valid [server] indexes.
     @raise Invalid_argument on cyclic or dangling dependencies, or
     out-of-range servers. *)
-
-val pp_timeline : Format.formatter -> timeline -> unit
 
 val pp_gantt : ?width:int -> ?server_name:(int -> string) -> Format.formatter ->
   timeline -> unit

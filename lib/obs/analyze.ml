@@ -54,16 +54,6 @@ let tree spans =
 let rec flatten nodes =
   List.concat_map (fun n -> n.span :: flatten n.children) nodes
 
-let rec find_kind kind nodes =
-  match nodes with
-  | [] -> None
-  | n :: rest ->
-    if n.span.Trace.kind = kind then Some n
-    else (
-      match find_kind kind n.children with
-      | Some _ as found -> found
-      | None -> find_kind kind rest)
-
 let pp_tree ppf nodes =
   let rec go indent n =
     Format.fprintf ppf "%s%a@," (String.make indent ' ') Trace.pp_span n.span;

@@ -23,9 +23,6 @@ val flatten : node list -> Trace.span list
     this is exactly the spans sorted by id; [flatten (tree spans)]
     re-exports byte-identically for id-sorted input. *)
 
-val find_kind : Trace.kind -> node list -> node option
-(** First node (pre-order) of the given kind. *)
-
 val pp_tree : Format.formatter -> node list -> unit
 
 (** {2 Schedules} *)
@@ -46,7 +43,7 @@ val of_timeline :
   ?label:(int -> string) -> ?cond:(int -> int option) ->
   Fusion_net.Sim.timeline -> task list
 (** One task per dispatched event; [label]/[cond] decorate task ids
-    with plan information (see {!Fusion_plan.Parallel_exec.dataflow}). *)
+    with plan information (see {!Fusion_plan.Plan_compile.dataflow}). *)
 
 val tasks_of_spans : Trace.span list -> (task list, string) result
 (** Rebuilds the schedule from a recorded trace: Step spans marked

@@ -40,7 +40,7 @@ module Query_cache = Exec.Query_cache
 (* Where a source-query step sat in the concurrent schedule: the task
    id, server and dependencies of the slot its source call settled on
    (on the default call, the dataflow node id — see
-   [Parallel_exec.dataflow] — and the source index). [dispatched] is
+   [Plan_compile.dataflow] — and the source index). [dispatched] is
    false when the step was answered without occupying the source (cache
    hit, or joining an in-flight request). Local operations have no
    schedule slot. *)

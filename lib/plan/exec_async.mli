@@ -37,7 +37,7 @@ type sched = {
   task : int;
       (** task id of the slot the source call settled on; on the
           default call, the dataflow node id, aligned with
-          {!Parallel_exec.dataflow} *)
+          {!Plan_compile.dataflow} *)
   server : int;  (** serving lane; on the default call, the source index *)
   deps : int list;  (** task ids this query waited on *)
   dispatched : bool;

@@ -55,6 +55,34 @@ let nslots t = Array.length t.slots
 let nodes t = t.nodes
 let scan state cond rel = Cond_vec.select_items (local_vec state cond rel)
 
+module Int_set = Set.Make (Int)
+
+(* Dependencies of each variable's value, as the set of task ids whose
+   completion makes the value available. Local operations are free and
+   merely merge the dependencies of their inputs. *)
+let dataflow plan =
+  let var_deps : (string, Int_set.t) Hashtbl.t = Hashtbl.create 16 in
+  let deps_of var = Option.value ~default:Int_set.empty (Hashtbl.find_opt var_deps var) in
+  let next_task = ref 0 in
+  let nodes = ref [] in
+  List.iter
+    (fun op ->
+      let input_deps =
+        List.fold_left (fun acc v -> Int_set.union acc (deps_of v)) Int_set.empty (Op.uses op)
+      in
+      match op with
+      | Op.Select { dst; source; _ } | Op.Semijoin { dst; source; _ }
+      | Op.Load { dst; source; _ } ->
+        let id = !next_task in
+        incr next_task;
+        nodes := (op, source, Int_set.elements input_deps) :: !nodes;
+        Hashtbl.replace var_deps dst (Int_set.singleton id)
+      | Op.Local_select { dst; _ } | Op.Union { dst; _ } | Op.Inter { dst; _ }
+      | Op.Diff { dst; _ } ->
+        Hashtbl.replace var_deps dst input_deps)
+    (Plan.ops plan);
+  List.rev !nodes
+
 let compile ~sources ~conds p =
   match Plan.validate ~m:(Array.length conds) ~n:(Array.length sources) p with
   | Error e -> Error e
@@ -107,7 +135,7 @@ let compile ~sources ~conds p =
     let ops = Array.of_list (Plan.ops p) in
     let cops = Array.map cop ops in
     let out = slot (Plan.output p) in
-    let nodes = Array.of_list (Parallel_exec.dataflow p) in
+    let nodes = Array.of_list (dataflow p) in
     Ok { plan = p; sources; ops; cops; out; nodes; slots = Array.make !nslots Unset }
 
 (* Unreachable after [Plan.validate] (which [compile] runs); kept as

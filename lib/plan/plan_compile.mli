@@ -56,6 +56,14 @@ type cop =
 
 type slot = Unset | Items of Item_set.t | Loaded of Relation.t
 
+val dataflow : Plan.t -> (Op.t * int * int list) list
+(** The plan's source-query dependency DAG, computed from the operations
+    alone (no execution needed): one [(op, source, deps)] node per
+    source query, in operation order. Node ids are positions in this
+    list; [deps] are the ids of the source queries whose results feed
+    the node's inputs through any chain of free local operations. This
+    is the analysis the {!Exec_async} executor schedules from. *)
+
 val compile :
   sources:Source.t array -> conds:Fusion_cond.Cond.t array -> Plan.t -> (t, string) result
 (** Validates the plan (so slot resolution cannot fail at run time) and
@@ -88,7 +96,7 @@ val nslots : t -> int
 (** Size of a slot frame. *)
 
 val nodes : t -> (Op.t * int * int list) array
-(** {!Parallel_exec.dataflow} of the plan, built at compile time: one
+(** {!dataflow} of the plan, built at compile time: one
     node per source query, in plan order. *)
 
 val items : slot array -> int -> Item_set.t

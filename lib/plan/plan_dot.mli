@@ -3,7 +3,7 @@
     Nodes are plan operations (source queries drawn as boxes labeled
     with the source, local set operations as ellipses); edges follow
     variable definitions to their uses, so the picture is exactly the
-    dependency structure that [Parallel_exec] schedules. Rebindings get
+    dependency structure of {!Plan_compile.dataflow}. Rebindings get
     unique node ids, mirroring the executor's env semantics. *)
 
 val to_string : ?source_name:(int -> string) -> Plan.t -> string

@@ -243,7 +243,6 @@ module Promise = struct
 
   let resolve p v = deliver p (Ok v)
   let reject p e = deliver p (Error e)
-  let is_resolved p = p.st <> None
 
   let await p =
     check_cancel ();

@@ -88,8 +88,6 @@ module Promise : sig
   val resolve : 'a t -> 'a -> unit
   val reject : 'a t -> exn -> unit
 
-  val is_resolved : 'a t -> bool
-
   val await : 'a t -> 'a
   (** Suspends until resolved; re-raises a rejection. *)
 end

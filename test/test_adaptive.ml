@@ -3,6 +3,7 @@
 open Fusion_data
 open Fusion_core
 module Workload = Fusion_workload.Workload
+module Adaptive = Fusion_lab.Adaptive
 
 let env_of (instance : Workload.instance) =
   Opt_env.create ~universe:instance.Workload.spec.Workload.universe

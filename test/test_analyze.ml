@@ -147,15 +147,11 @@ let traced_run ?(spec = dmv_spec) ?(algo = Optimizer.Sja_plus) () =
   let mediator =
     Mediator.create_exn (Array.to_list instance.Workload.sources)
   in
-  let collector = Trace.create () in
-  let config =
-    {
-      Mediator.Config.default with
-      Mediator.Config.algo;
-      trace = Some collector;
-    }
-  in
-  match Mediator.run ~config mediator instance.Workload.query with
+  let config = { Mediator.Config.default with Mediator.Config.algo } in
+  match
+    Trace.with_collector (Trace.create ()) (fun () ->
+        Mediator.run ~config mediator instance.Workload.query)
+  with
   | Ok report -> report
   | Error msg -> Alcotest.failf "mediator run failed: %s" msg
 
@@ -238,7 +234,7 @@ let critical_path_invariant (spec, i) =
   in
   let tasks = Analyze.of_timeline r.Exec_async.timeline in
   let path = Analyze.critical_path tasks in
-  let nodes = Array.of_list (Parallel_exec.dataflow plan) in
+  let nodes = Array.of_list (Plan_compile.dataflow plan) in
   let sums = Float.abs (path.Analyze.total -. r.Exec_async.timeline.Fusion_net.Sim.makespan) < 1e-6 in
   let rec chain = function
     | [] | [ _ ] -> true

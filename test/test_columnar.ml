@@ -21,6 +21,8 @@ module Prng = Fusion_stats.Prng
 module Query = Fusion_query.Query
 module Delta = Fusion_delta.Delta
 module Maintained = Fusion_delta.Maintained
+module Item_set_ref = Fusion_oracle.Item_set_ref
+module Relation_ref = Fusion_oracle.Relation_ref
 
 (* --- columnar Relation ≡ Relation_ref ------------------------------------ *)
 

@@ -17,6 +17,7 @@ module Serve = Fusion_serve.Server
 module Mediator = Fusion_mediator.Mediator
 module Answer_cache = Fusion_plan.Answer_cache
 module Metrics = Fusion_obs.Metrics
+module Item_set_ref = Fusion_oracle.Item_set_ref
 
 (* --- sym_diff: flat kernels against the reference ------------------------ *)
 

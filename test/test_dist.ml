@@ -426,17 +426,6 @@ let qcheck_fragment_wire_round_trip =
             && f'.Fragment.sources_used = f.Fragment.sources_used)
         [ 0; 1; 7 ])
 
-let test_local_plan_mode_exact () =
-  let instance = Workload.generate { Workload.default_spec with seed = 47 } in
-  let cluster = cluster_of ~shards:3 instance in
-  let r =
-    coord_run
-      ~config:{ Coordinator.Config.default with Coordinator.Config.plan_mode = `Local }
-      cluster instance
-  in
-  Alcotest.check Helpers.item_set "per-shard planning stays exact" (truth instance)
-    r.Coordinator.r_answer
-
 (* --- catalog replica groups ---------------------------------------------- *)
 
 let test_catalog_replicas_key () =
@@ -512,7 +501,6 @@ let suite =
     Alcotest.test_case "single-shard slice is the identity" `Quick
       test_single_shard_slice_is_identity;
     qcheck_fragment_wire_round_trip;
-    Alcotest.test_case "local plan mode stays exact" `Quick test_local_plan_mode_exact;
     Alcotest.test_case "catalog replicas key builds groups" `Quick
       test_catalog_replicas_key;
     Alcotest.test_case "unsharded serve metrics unchanged" `Quick

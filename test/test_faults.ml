@@ -7,6 +7,7 @@ open Fusion_plan
 module Workload = Fusion_workload.Workload
 module Source = Fusion_source.Source
 module Prng = Fusion_stats.Prng
+module Adaptive = Fusion_lab.Adaptive
 
 let faulty_instance ~probability ~fault_seed seed =
   let instance = Workload.generate { Workload.default_spec with seed } in

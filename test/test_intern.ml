@@ -11,6 +11,7 @@
    equality classes. *)
 
 open Fusion_data
+module Item_set_ref = Fusion_oracle.Item_set_ref
 
 (* --- Intern ------------------------------------------------------------- *)
 

@@ -60,7 +60,15 @@ let test_runtime_config () =
   let report = Helpers.check_ok (Mediator.run_sql ~config mediator dmv_sql) in
   Alcotest.check Helpers.item_set "domains answer" expected report.Mediator.answer;
   Alcotest.(check bool) "critical path present" true
-    (report.Mediator.critical_path.Fusion_obs.Analyze.hops <> [])
+    (report.Mediator.critical_path.Fusion_obs.Analyze.hops <> []);
+  (* Wall-clock seconds print as milliseconds, with the unit. *)
+  let expected_line =
+    Format.asprintf "actual cost: %.1f (response time %.3f ms)" report.Mediator.actual_cost
+      (report.Mediator.response_time *. 1000.0)
+  in
+  Alcotest.(check bool) "response time printed in ms" true
+    (List.mem expected_line
+       (String.split_on_char '\n' (Format.asprintf "%a" Mediator.pp_report report)))
 
 (* The TCP front end, in-process: a server thread on an ephemeral
    loopback port, a blocking client sending two good statements and one

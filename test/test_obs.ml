@@ -273,10 +273,8 @@ let traced_fig1 () =
   let collector = Trace.create () in
   let report =
     Helpers.check_ok
-      (Mediator.run
-         ~config:
-           { Mediator.Config.default with Mediator.Config.trace = Some collector }
-         mediator instance.Workload.query)
+      (Trace.with_collector collector (fun () ->
+           Mediator.run mediator instance.Workload.query))
   in
   (collector, report)
 
@@ -368,10 +366,8 @@ let test_tracing_is_zero_overhead () =
   let run traced =
     let instance = Workload.fig1 () in
     let mediator = Mediator.create_exn (Array.to_list instance.Workload.sources) in
-    let trace = if traced then Some (Trace.create ()) else None in
-    Helpers.check_ok (Mediator.run
-      ~config:{ Mediator.Config.default with Mediator.Config.trace }
-      mediator instance.Workload.query)
+    let run () = Mediator.run mediator instance.Workload.query in
+    Helpers.check_ok (if traced then Trace.with_collector (Trace.create ()) run else run ())
   in
   let off = run false and on = run true in
   Alcotest.(check bool) "no trace when off" true (off.Mediator.trace = []);
@@ -396,16 +392,15 @@ let test_cache_hit_miss_attrs () =
      the whole plan into loads, which never consult the cache. *)
   let run () =
     Helpers.check_ok
-      (Mediator.run
-         ~config:
-           {
-             Mediator.Config.default with
-             Mediator.Config.algo = Optimizer.Filter;
-             cache = Some cache;
-             trace = Some collector;
-           }
-         mediator
-         instance.Workload.query)
+      (Trace.with_collector collector (fun () ->
+           Mediator.run
+             ~config:
+               {
+                 Mediator.Config.default with
+                 Mediator.Config.algo = Optimizer.Filter;
+                 cache = Some cache;
+               }
+             mediator instance.Workload.query))
   in
   let first = run () and second = run () in
   let outcome report =

@@ -5,6 +5,7 @@ open Fusion_data
 open Fusion_core
 open Fusion_plan
 module Workload = Fusion_workload.Workload
+module Brute = Fusion_oracle.Brute
 
 let env_of (instance : Workload.instance) =
   Opt_env.create ~universe:instance.Workload.spec.Workload.universe

@@ -1,7 +1,6 @@
 (* Property suites: item-set algebra (including the set identity that
-   justifies SJA+'s difference-based pruning), plan simplification as an
-   executable equivalence, and the Plan_text serialization as an exact
-   inverse pair. *)
+   justifies SJA+'s difference-based pruning) and the Plan_text
+   serialization as an exact inverse pair. *)
 
 open Fusion_data
 open Fusion_core
@@ -75,21 +74,6 @@ let instance_and_plan (spec, i) =
   in
   (instance, (Optimizer.optimize (List.nth Optimizer.all i) env).Optimized.plan)
 
-let simplify_is_equivalent =
-  Helpers.qtest ~count:80 "simplify is observationally equivalent" plan_gen plan_print
-    (fun input ->
-      let instance, plan = instance_and_plan input in
-      let before = Helpers.execute_plan instance plan in
-      let after = Helpers.execute_plan instance (Simplify.simplify plan) in
-      Item_set.equal before.Exec.answer after.Exec.answer
-      && Float.abs (before.Exec.total_cost -. after.Exec.total_cost) < 1e-6)
-
-let simplify_is_idempotent =
-  Helpers.qtest ~count:80 "simplify is idempotent" plan_gen plan_print (fun input ->
-      let _, plan = instance_and_plan input in
-      let once = Simplify.simplify plan in
-      Simplify.simplify once = once)
-
 let plan_text_round_trip =
   Helpers.qtest ~count:80 "plan text round-trips exactly" plan_gen plan_print
     (fun input ->
@@ -103,7 +87,5 @@ let suite =
     item_set_identities;
     item_set_commutativity;
     sja_plus_pruning_invariant;
-    simplify_is_equivalent;
-    simplify_is_idempotent;
     plan_text_round_trip;
   ]

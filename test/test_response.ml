@@ -4,6 +4,8 @@ open Fusion_data
 open Fusion_core
 open Fusion_plan
 module Workload = Fusion_workload.Workload
+module Response_opt = Fusion_lab.Response_opt
+module Response_time = Fusion_lab.Response_time
 
 let env_of (instance : Workload.instance) =
   Opt_env.create ~universe:instance.Workload.spec.Workload.universe

@@ -3,6 +3,7 @@
 open Fusion_core
 open Fusion_plan
 module Workload = Fusion_workload.Workload
+module Robust = Fusion_lab.Robust
 
 let env_of (instance : Workload.instance) =
   Opt_env.create ~universe:instance.Workload.spec.Workload.universe

@@ -6,6 +6,7 @@ open Fusion_plan
 module Workload = Fusion_workload.Workload
 module Mediator = Fusion_mediator.Mediator
 module Cache = Exec.Query_cache
+module Axioms = Fusion_oracle.Axioms
 
 let dmv_sql =
   "SELECT u1.L FROM U u1, U u2 WHERE u1.L = u2.L AND u1.V = 'dui' AND u2.V = 'sp'"
@@ -200,7 +201,7 @@ let test_internet_model_passes_axioms () =
   in
   Alcotest.(check int) "no violations" 0
     (List.length
-       (Fusion_cost.Axioms.check env.Opt_env.model ~sources:env.Opt_env.sources
+       (Axioms.check env.Opt_env.model ~sources:env.Opt_env.sources
           ~conds:env.Opt_env.conds))
 
 let test_axioms_catch_bad_model () =
@@ -216,14 +217,14 @@ let test_axioms_catch_bad_model () =
     }
   in
   let violations =
-    Fusion_cost.Axioms.check bad ~sources:env.Opt_env.sources ~conds:env.Opt_env.conds
+    Axioms.check bad ~sources:env.Opt_env.sources ~conds:env.Opt_env.conds
   in
   Alcotest.(check bool) "violations found" true (List.length violations > 0);
   Alcotest.(check bool) "negative lq reported" true
     (List.exists
        (fun v ->
-         String.length v.Fusion_cost.Axioms.description >= 2
-         && String.sub v.Fusion_cost.Axioms.description 0 2 = "lq")
+         String.length v.Axioms.description >= 2
+         && String.sub v.Axioms.description 0 2 = "lq")
        violations)
 
 (* --- Catalog ------------------------------------------------------------ *)

@@ -4,6 +4,8 @@ open Fusion_core
 open Fusion_plan
 module Sim = Fusion_net.Sim
 module Workload = Fusion_workload.Workload
+module Parallel_exec = Fusion_lab.Parallel_exec
+module Response_time = Fusion_lab.Response_time
 
 let task id server duration deps = { Sim.id; server; duration; deps }
 
